@@ -16,7 +16,6 @@
 #include "net/dissemination.h"
 #include "net/fault.h"
 #include "net/topology.h"
-#include "workload/generator.h"
 #include "workload/traffic.h"
 
 namespace porygon::bench {

@@ -46,10 +46,10 @@ int main(int argc, char** argv) {
     }
     const uint64_t accounts = 1'000'000;
     sys.CreateAccounts(accounts, 1'000'000);
-    workload::WorkloadGenerator gen({.num_accounts = accounts,
-                                     .shard_bits = shard_bits,
-                                     .cross_shard_ratio = 0.1,
-                                     .seed = 7});
+    workload::UniformTrafficModel gen({.num_accounts = accounts,
+                                       .shard_bits = shard_bits,
+                                       .cross_shard_ratio = 0.1,
+                                       .seed = 7});
 
     size_t per_round = opt.blocks_per_shard_round * opt.params.block_tx_limit *
                        static_cast<size_t>(shards);

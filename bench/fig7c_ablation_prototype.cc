@@ -26,10 +26,10 @@ porygon::bench::RunSummary RunPorygonShards(int shard_bits, int nodes) {
   opt.seed = 11;
   core::PorygonSystem sys(opt);
   sys.CreateAccounts(500'000, 1'000'000);
-  workload::WorkloadGenerator gen({.num_accounts = 500'000,
-                                   .shard_bits = shard_bits,
-                                   .cross_shard_ratio = 0.1,
-                                   .seed = 3});
+  workload::UniformTrafficModel gen({.num_accounts = 500'000,
+                                     .shard_bits = shard_bits,
+                                     .cross_shard_ratio = 0.1,
+                                     .seed = 3});
   size_t per_round =
       opt.params.block_tx_limit * (size_t{1} << shard_bits);
   return bench::RunSaturated(&sys, &gen, 8, per_round);
@@ -51,7 +51,7 @@ int main() {
     opt.block_tx_limit = 2000;
     baselines::BlockeneSystem sys(opt);
     sys.CreateAccounts(500'000, 1'000'000);
-    workload::WorkloadGenerator gen(
+    workload::UniformTrafficModel gen(
         {.num_accounts = 500'000, .shard_bits = 0, .seed = 3});
     double tps = bench::DriveOpenLoopTps(&sys, &gen, 10, 2000);
     bench::PrintRow({"1D:Baseline", "10", bench::FmtInt(tps)});

@@ -24,10 +24,10 @@ int main() {
   bopt.seed = 12;
   baselines::ByshardSystem byshard(bopt);
   byshard.CreateAccounts(500'000, 1'000'000);
-  workload::WorkloadGenerator bgen({.num_accounts = 500'000,
-                                    .shard_bits = shard_bits,
-                                    .cross_shard_ratio = 0.1,
-                                    .seed = 9});
+  workload::UniformTrafficModel bgen({.num_accounts = 500'000,
+                                      .shard_bits = shard_bits,
+                                      .cross_shard_ratio = 0.1,
+                                      .seed = 9});
 
   // Porygon: same block budget; sample the max stateless-node footprint.
   core::SystemOptions popt;
@@ -42,10 +42,10 @@ int main() {
   popt.seed = 12;
   core::PorygonSystem porygon(popt);
   porygon.CreateAccounts(500'000, 1'000'000);
-  workload::WorkloadGenerator pgen({.num_accounts = 500'000,
-                                    .shard_bits = shard_bits,
-                                    .cross_shard_ratio = 0.1,
-                                    .seed = 9});
+  workload::UniformTrafficModel pgen({.num_accounts = 500'000,
+                                      .shard_bits = shard_bits,
+                                      .cross_shard_ratio = 0.1,
+                                      .seed = 9});
 
   for (int step = 1; step <= 6; ++step) {
     for (int r = 0; r < 4; ++r) {

@@ -27,10 +27,10 @@ int main() {
   opt.seed = 19;
   core::PorygonSystem sys(opt);
   sys.CreateAccounts(500'000, 1'000'000);
-  workload::WorkloadGenerator gen({.num_accounts = 500'000,
-                                   .shard_bits = shard_bits,
-                                   .cross_shard_ratio = 0.1,
-                                   .seed = 10});
+  workload::UniformTrafficModel gen({.num_accounts = 500'000,
+                                     .shard_bits = shard_bits,
+                                     .cross_shard_ratio = 0.1,
+                                     .seed = 10});
   size_t per_round =
       opt.params.block_tx_limit * (size_t{1} << shard_bits);
   bench::RunSaturated(&sys, &gen, 8, per_round);
@@ -43,10 +43,10 @@ int main() {
   bopt.seed = 19;
   baselines::ByshardSystem byshard(bopt);
   byshard.CreateAccounts(500'000, 1'000'000);
-  workload::WorkloadGenerator bgen({.num_accounts = 500'000,
-                                    .shard_bits = shard_bits,
-                                    .cross_shard_ratio = 0.1,
-                                    .seed = 10});
+  workload::UniformTrafficModel bgen({.num_accounts = 500'000,
+                                      .shard_bits = shard_bits,
+                                      .cross_shard_ratio = 0.1,
+                                      .seed = 10});
   for (int r = 0; r < 10; ++r) {
     for (const auto& t : bgen.Batch(per_round)) byshard.SubmitTransaction(t);
     byshard.Run(1);

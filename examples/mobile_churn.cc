@@ -10,7 +10,7 @@
 
 #include "baselines/blockene.h"
 #include "core/system.h"
-#include "workload/generator.h"
+#include "workload/traffic.h"
 
 namespace {
 double RunPorygon(double mean_session_s) {
@@ -28,10 +28,10 @@ double RunPorygon(double mean_session_s) {
 
   core::PorygonSystem system(options);
   system.CreateAccounts(100'000, 1'000'000);
-  workload::WorkloadGenerator gen({.num_accounts = 100'000,
-                                   .shard_bits = 1,
-                                   .cross_shard_ratio = 0.1,
-                                   .seed = 4});
+  workload::UniformTrafficModel gen({.num_accounts = 100'000,
+                                     .shard_bits = 1,
+                                     .cross_shard_ratio = 0.1,
+                                     .seed = 4});
   for (int r = 0; r < 12; ++r) {
     system.SubmitBatch(gen.Batch(2000));
     system.Run(1);
@@ -51,7 +51,7 @@ double RunBlockene(double mean_session_s) {
 
   baselines::BlockeneSystem system(options);
   system.CreateAccounts(100'000, 1'000'000);
-  workload::WorkloadGenerator gen(
+  workload::UniformTrafficModel gen(
       {.num_accounts = 100'000, .shard_bits = 0, .seed = 4});
   for (int r = 0; r < 12; ++r) {
     for (const auto& t : gen.Batch(1000)) system.SubmitTransaction(t);

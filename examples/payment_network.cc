@@ -11,7 +11,7 @@
 
 #include "bench_util.h"
 #include "core/system.h"
-#include "workload/generator.h"
+#include "workload/traffic.h"
 
 int main(int argc, char** argv) {
   using namespace porygon;

@@ -7,8 +7,9 @@
 #   scripts/check.sh              # plain + sanitized
 #   PORYGON_SKIP_SANITIZERS=1 scripts/check.sh
 #
-# Build trees live under build/ (plain, reused from a normal checkout),
-# build-asan/, and build-tsan/ so configurations never share object files.
+# Build trees live under build/ (plain, reused from a normal checkout; the
+# benchmark binaries go to build/perfbench/), build-asan/, and build-tsan/ so
+# configurations never share object files.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,6 +20,10 @@ run_suite() {
   cmake -B "$dir" -S . "$@"
   cmake --build "$dir" -j "$(nproc)"
   ctest --test-dir "$dir" --output-on-failure
+  # Golden wire-format suite: the SHA-256 of one fixed instance of every
+  # wire type. Encoded sizes drive the bandwidth model, so a codec change
+  # that moves a byte must fail here, not drift every sim metric.
+  ctest --test-dir "$dir" -R WireGolden --output-on-failure
   # Fault suite, called out explicitly: crash/recover failover, censorship,
   # and same-seed determinism under an active FaultPlan must never rot.
   ctest --test-dir "$dir" -R FaultInjection --output-on-failure
@@ -55,6 +60,14 @@ run_suite() {
 
 echo "== plain build + ctest =="
 run_suite build
+
+# Benchmark binaries (perfbench/): the traced one links with --wrap over the
+# mangled library entry points listed in perfbench/wrap.cc, so a renamed or
+# re-signatured entry point fails here rather than at the next benchmark run.
+echo "== perfbench build =="
+cmake -B build/perfbench -S perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build/perfbench -j "$(nproc)" \
+  --target perfbench_driver perfbench_traced
 
 if [[ "${PORYGON_SKIP_SANITIZERS:-0}" != "1" ]]; then
   echo "== address,undefined sanitized build + ctest =="

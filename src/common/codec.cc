@@ -118,6 +118,26 @@ Result<bool> Decoder::GetBool() {
   return v == 1;
 }
 
+Result<double> Decoder::GetF64() {
+  PORYGON_ASSIGN_OR_RETURN(uint64_t bits, GetU64());
+  return std::bit_cast<double>(bits);
+}
+
+Result<uint64_t> Decoder::GetCount(size_t min_elem_bytes) {
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n, GetVarint());
+  if (n > remaining() / min_elem_bytes) {
+    return Status::Corruption("element count exceeds input");
+  }
+  return n;
+}
+
+Status Decoder::Finish(std::string_view what) const {
+  if (!Done()) {
+    return Status::Corruption("trailing " + std::string(what) + " bytes");
+  }
+  return Status::Ok();
+}
+
 size_t VarintLength(uint64_t v) {
   size_t n = 1;
   while (v >= 0x80) {

@@ -1,7 +1,10 @@
 #ifndef PORYGON_COMMON_CODEC_H_
 #define PORYGON_COMMON_CODEC_H_
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -13,7 +16,8 @@ namespace porygon {
 /// Append-only binary encoder. All multi-byte integers are little-endian;
 /// variable-size payloads are length-prefixed with a varint. This is the wire
 /// format for every message, block, and proof in the system, so encoded sizes
-/// feed directly into the bandwidth model of the network simulator.
+/// feed directly into the bandwidth model of the network simulator
+/// (tests/wire_golden_test.cc pins the bytes).
 class Encoder {
  public:
   Encoder() = default;
@@ -30,6 +34,13 @@ class Encoder {
   void PutFixed(ByteView data);
   void PutString(std::string_view s) { PutBytes(ByteView(s)); }
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
+  /// IEEE-754 bits as a little-endian u64 (exact round-trip).
+  void PutF64(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
+  /// Fixed-width byte array, no length prefix (Hash256, PublicKey, ...).
+  template <size_t N>
+  void PutArray(const std::array<uint8_t, N>& a) {
+    PutFixed(ByteView(a.data(), N));
+  }
 
   const Bytes& buffer() const { return buf_; }
   Bytes TakeBuffer() { return std::move(buf_); }
@@ -40,7 +51,9 @@ class Encoder {
 };
 
 /// Streaming decoder over a byte view. Every accessor validates bounds and
-/// returns Corruption on truncated input.
+/// returns Corruption on truncated input. Input comes from peers that may be
+/// Byzantine, so element counts read off the wire go through GetCount before
+/// they size any allocation.
 class Decoder {
  public:
   explicit Decoder(ByteView data) : data_(data) {}
@@ -61,6 +74,25 @@ class Decoder {
   Result<ByteView> GetFixedView(size_t n);
   Result<std::string> GetString();
   Result<bool> GetBool();
+  Result<double> GetF64();
+
+  /// Reads a fixed-width byte array written by Encoder::PutArray.
+  template <size_t N>
+  Result<std::array<uint8_t, N>> GetArray() {
+    PORYGON_ASSIGN_OR_RETURN(ByteView raw, GetFixedView(N));
+    std::array<uint8_t, N> out{};
+    std::memcpy(out.data(), raw.data(), N);
+    return out;
+  }
+
+  /// Reads a varint element count and rejects it with Corruption when the
+  /// remaining input cannot hold that many elements of at least
+  /// `min_elem_bytes` (>= 1) each, so a forged count cannot size a huge
+  /// allocation.
+  Result<uint64_t> GetCount(size_t min_elem_bytes);
+
+  /// Ok when every byte was consumed, else Corruption naming `what`.
+  Status Finish(std::string_view what) const;
 
   /// Number of bytes not yet consumed.
   size_t remaining() const { return data_.size(); }

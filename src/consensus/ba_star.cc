@@ -14,56 +14,55 @@ Bytes Vote::SigningBytes() const {
   enc.PutU64(instance);
   enc.PutU32(step);
   enc.PutU8(kind);
-  enc.PutFixed(ByteView(value.data(), value.size()));
+  enc.PutArray(value);
   return enc.TakeBuffer();
+}
+
+void Vote::EncodeTo(Encoder* enc) const {
+  enc->PutU64(instance);
+  enc->PutU32(step);
+  enc->PutU8(kind);
+  enc->PutArray(value);
+  enc->PutArray(voter);
+  enc->PutArray(signature);
 }
 
 Bytes Vote::Encode() const {
   Encoder enc;
-  enc.PutU64(instance);
-  enc.PutU32(step);
-  enc.PutU8(kind);
-  enc.PutFixed(ByteView(value.data(), value.size()));
-  enc.PutFixed(ByteView(voter.data(), voter.size()));
-  enc.PutFixed(ByteView(signature.data(), signature.size()));
+  EncodeTo(&enc);
   return enc.TakeBuffer();
+}
+
+Result<Vote> Vote::DecodeFrom(Decoder* dec) {
+  Vote v;
+  PORYGON_ASSIGN_OR_RETURN(v.instance, dec->GetU64());
+  PORYGON_ASSIGN_OR_RETURN(v.step, dec->GetU32());
+  PORYGON_ASSIGN_OR_RETURN(v.kind, dec->GetU8());
+  if (v.kind > Vote::kCert) return Status::Corruption("bad vote kind");
+  PORYGON_ASSIGN_OR_RETURN(v.value, dec->GetArray<32>());
+  PORYGON_ASSIGN_OR_RETURN(v.voter, dec->GetArray<32>());
+  PORYGON_ASSIGN_OR_RETURN(v.signature, dec->GetArray<64>());
+  return v;
 }
 
 Result<Vote> Vote::Decode(ByteView data) {
   Decoder dec(data);
-  Vote v;
-  PORYGON_ASSIGN_OR_RETURN(v.instance, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(v.step, dec.GetU32());
-  PORYGON_ASSIGN_OR_RETURN(v.kind, dec.GetU8());
-  if (v.kind > Vote::kCert) return Status::Corruption("bad vote kind");
-  PORYGON_ASSIGN_OR_RETURN(Bytes value, dec.GetFixed(32));
-  std::memcpy(v.value.data(), value.data(), 32);
-  PORYGON_ASSIGN_OR_RETURN(Bytes voter, dec.GetFixed(32));
-  std::memcpy(v.voter.data(), voter.data(), 32);
-  PORYGON_ASSIGN_OR_RETURN(Bytes sig, dec.GetFixed(64));
-  std::memcpy(v.signature.data(), sig.data(), 64);
-  if (!dec.Done()) return Status::Corruption("trailing vote bytes");
+  PORYGON_ASSIGN_OR_RETURN(Vote v, DecodeFrom(&dec));
+  PORYGON_RETURN_IF_ERROR(dec.Finish("vote"));
   return v;
 }
 
 size_t DecisionCert::WireSize() const {
   // instance + value + votes.
-  return 8 + 32 + votes.size() * (8 + 4 + 1 + 32 + 32 + 64);
+  return 8 + 32 + votes.size() * Vote::kWireSize;
 }
 
 Bytes DecisionCert::Encode() const {
   Encoder enc;
   enc.PutU64(instance);
-  enc.PutFixed(ByteView(value.data(), value.size()));
+  enc.PutArray(value);
   enc.PutU32(static_cast<uint32_t>(votes.size()));
-  for (const Vote& v : votes) {
-    enc.PutU64(v.instance);
-    enc.PutU32(v.step);
-    enc.PutU8(v.kind);
-    enc.PutFixed(ByteView(v.value.data(), v.value.size()));
-    enc.PutFixed(ByteView(v.voter.data(), v.voter.size()));
-    enc.PutFixed(ByteView(v.signature.data(), v.signature.size()));
-  }
+  for (const Vote& v : votes) v.EncodeTo(&enc);
   return enc.TakeBuffer();
 }
 
@@ -71,26 +70,19 @@ Result<DecisionCert> DecisionCert::Decode(ByteView data) {
   Decoder dec(data);
   DecisionCert cert;
   PORYGON_ASSIGN_OR_RETURN(cert.instance, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(Bytes value, dec.GetFixed(32));
-  std::memcpy(cert.value.data(), value.data(), 32);
+  PORYGON_ASSIGN_OR_RETURN(cert.value, dec.GetArray<32>());
+  // The count is a fixed u32 (not a varint), so it gets GetCount's
+  // remaining-bytes bound by hand, on top of the committee-size cap.
   PORYGON_ASSIGN_OR_RETURN(uint32_t n, dec.GetU32());
-  if (n > 4096) return Status::Corruption("oversized cert");
+  if (n > 4096 || n > dec.remaining() / Vote::kWireSize) {
+    return Status::Corruption("oversized cert");
+  }
   cert.votes.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    Vote v;
-    PORYGON_ASSIGN_OR_RETURN(v.instance, dec.GetU64());
-    PORYGON_ASSIGN_OR_RETURN(v.step, dec.GetU32());
-    PORYGON_ASSIGN_OR_RETURN(v.kind, dec.GetU8());
-    if (v.kind > Vote::kCert) return Status::Corruption("bad vote kind");
-    PORYGON_ASSIGN_OR_RETURN(Bytes vv, dec.GetFixed(32));
-    std::memcpy(v.value.data(), vv.data(), 32);
-    PORYGON_ASSIGN_OR_RETURN(Bytes voter, dec.GetFixed(32));
-    std::memcpy(v.voter.data(), voter.data(), 32);
-    PORYGON_ASSIGN_OR_RETURN(Bytes sig, dec.GetFixed(64));
-    std::memcpy(v.signature.data(), sig.data(), 64);
+    PORYGON_ASSIGN_OR_RETURN(Vote v, Vote::DecodeFrom(&dec));
     cert.votes.push_back(std::move(v));
   }
-  if (!dec.Done()) return Status::Corruption("trailing cert bytes");
+  PORYGON_RETURN_IF_ERROR(dec.Finish("cert"));
   return cert;
 }
 

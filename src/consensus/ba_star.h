@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "common/status.h"
 #include "crypto/provider.h"
 #include "crypto/sha256.h"
@@ -32,9 +33,14 @@ struct Vote {
 
   static constexpr uint8_t kSoft = 0;
   static constexpr uint8_t kCert = 1;
+  /// Encoded size: instance, step, kind, value, voter, signature.
+  static constexpr size_t kWireSize = 8 + 4 + 1 + 32 + 32 + 64;
 
   Bytes Encode() const;
   static Result<Vote> Decode(ByteView data);
+  /// Streamed forms of Encode/Decode (for DecisionCert's vote list).
+  void EncodeTo(Encoder* enc) const;
+  static Result<Vote> DecodeFrom(Decoder* dec);
   /// The signed portion (everything but voter + signature).
   Bytes SigningBytes() const;
 };

@@ -1,63 +1,15 @@
 #include "core/messages.h"
 
-#include <cstring>
-
 #include "common/codec.h"
-#include "common/wire.h"
 #include "crypto/sha256.h"
 
 namespace porygon::core {
 
 namespace {
-void PutHash(Encoder* enc, const crypto::Hash256& h) {
-  enc->PutFixed(ByteView(h.data(), h.size()));
-}
-Result<crypto::Hash256> GetHash(Decoder* dec) {
-  PORYGON_ASSIGN_OR_RETURN(Bytes raw, dec->GetFixed(32));
-  crypto::Hash256 h;
-  std::memcpy(h.data(), raw.data(), 32);
-  return h;
-}
-void PutKey(Encoder* enc, const crypto::PublicKey& k) {
-  enc->PutFixed(ByteView(k.data(), k.size()));
-}
-Result<crypto::PublicKey> GetKey(Decoder* dec) {
-  PORYGON_ASSIGN_OR_RETURN(Bytes raw, dec->GetFixed(32));
-  crypto::PublicKey k;
-  std::memcpy(k.data(), raw.data(), 32);
-  return k;
-}
-void PutSig(Encoder* enc, const crypto::Signature& s) {
-  enc->PutFixed(ByteView(s.data(), s.size()));
-}
-Result<crypto::Signature> GetSig(Decoder* dec) {
-  PORYGON_ASSIGN_OR_RETURN(Bytes raw, dec->GetFixed(64));
-  crypto::Signature s;
-  std::memcpy(s.data(), raw.data(), 64);
-  return s;
-}
-// State updates are varint-coded: typical entries (20-bit accounts, sub-2^32
-// balances, tiny nonces) cost ~8 bytes instead of 24 — these lists dominate
-// the exec-result fan-in to the OC and the update lists in proposal blocks.
-void PutUpdate(Encoder* enc, const tx::StateUpdate& u) {
-  enc->PutVarint(u.account);
-  enc->PutVarint(u.value.balance);
-  enc->PutVarint(u.value.nonce);
-}
-Result<tx::StateUpdate> GetUpdate(Decoder* dec) {
-  tx::StateUpdate u;
-  PORYGON_ASSIGN_OR_RETURN(u.account, dec->GetVarint());
-  PORYGON_ASSIGN_OR_RETURN(u.value.balance, dec->GetVarint());
-  PORYGON_ASSIGN_OR_RETURN(u.value.nonce, dec->GetVarint());
-  return u;
-}
-// wire::Writer/Reader twins of PutUpdate/GetUpdate for the ported codecs.
-void WriteUpdate(wire::Writer* w, const tx::StateUpdate& u) {
-  w->Varint(u.account).Varint(u.value.balance).Varint(u.value.nonce);
-}
-void ReadUpdate(wire::Reader* r, tx::StateUpdate* u) {
-  r->Varint(&u->account).Varint(&u->value.balance).Varint(&u->value.nonce);
-}
+// Encoded TxAccess: id plus five u64 fields.
+constexpr size_t kAccessWireSize = 32 + 5 * 8;
+// Encoded StateResponse::Entry: account, present flag, balance, nonce.
+constexpr size_t kEntryWireSize = 8 + 1 + 8 + 8;
 }  // namespace
 
 int PhaseOfKind(uint16_t kind) {
@@ -126,57 +78,61 @@ const char* PhaseLabelName(int phase) {
 }
 
 Bytes RoleAnnounce::Encode() const {
-  return wire::Writer()
-      .U64(round)
-      .U8(role)
-      .U32(shard)
-      .F64(sortition)
-      .Array(node_key)
-      .Array(proof.proof)
-      .Array(proof.output)
-      .U32(node_id)
-      .Take();
+  Encoder enc;
+  enc.PutU64(round);
+  enc.PutU8(role);
+  enc.PutU32(shard);
+  enc.PutF64(sortition);
+  enc.PutArray(node_key);
+  enc.PutArray(proof.proof);
+  enc.PutArray(proof.output);
+  enc.PutU32(node_id);
+  return enc.TakeBuffer();
 }
 
 Result<RoleAnnounce> RoleAnnounce::Decode(ByteView data) {
+  Decoder dec(data);
   RoleAnnounce a;
-  wire::Reader r(data);
-  r.U64(&a.round)
-      .U8(&a.role)
-      .U32(&a.shard)
-      .F64(&a.sortition)
-      .Array(&a.node_key)
-      .Array(&a.proof.proof)
-      .Array(&a.proof.output)
-      .U32(&a.node_id);
-  PORYGON_RETURN_IF_ERROR(r.Finish("announce"));
+  PORYGON_ASSIGN_OR_RETURN(a.round, dec.GetU64());
+  PORYGON_ASSIGN_OR_RETURN(a.role, dec.GetU8());
+  PORYGON_ASSIGN_OR_RETURN(a.shard, dec.GetU32());
+  PORYGON_ASSIGN_OR_RETURN(a.sortition, dec.GetF64());
+  PORYGON_ASSIGN_OR_RETURN(a.node_key, dec.GetArray<32>());
+  PORYGON_ASSIGN_OR_RETURN(a.proof.proof, dec.GetArray<64>());
+  PORYGON_ASSIGN_OR_RETURN(a.proof.output, dec.GetArray<32>());
+  PORYGON_ASSIGN_OR_RETURN(a.node_id, dec.GetU32());
+  PORYGON_RETURN_IF_ERROR(dec.Finish("announce"));
   return a;
 }
 
-Bytes ResyncRequest::Encode() const { return wire::Writer().U64(round).Take(); }
+Bytes ResyncRequest::Encode() const {
+  Encoder enc;
+  enc.PutU64(round);
+  return enc.TakeBuffer();
+}
 
 Result<ResyncRequest> ResyncRequest::Decode(ByteView data) {
+  Decoder dec(data);
   ResyncRequest req;
-  wire::Reader r(data);
-  r.U64(&req.round);
-  PORYGON_RETURN_IF_ERROR(r.Finish("resync"));
+  PORYGON_ASSIGN_OR_RETURN(req.round, dec.GetU64());
+  PORYGON_RETURN_IF_ERROR(dec.Finish("resync"));
   return req;
 }
 
 Bytes WitnessUpload::Encode() const {
-  return wire::Writer()
-      .U64(round)
-      .U32(shard)
-      .Raw(proof.Encode())
-      .Take();
+  Encoder enc;
+  enc.PutU64(round);
+  enc.PutU32(shard);
+  enc.PutFixed(proof.Encode());
+  return enc.TakeBuffer();
 }
 
 Result<WitnessUpload> WitnessUpload::Decode(ByteView data) {
+  Decoder dec(data);
   WitnessUpload w;
-  ByteView rest;
-  wire::Reader r(data);
-  r.U64(&w.round).U32(&w.shard).RestView(&rest);
-  PORYGON_RETURN_IF_ERROR(r.status());
+  PORYGON_ASSIGN_OR_RETURN(w.round, dec.GetU64());
+  PORYGON_ASSIGN_OR_RETURN(w.shard, dec.GetU32());
+  PORYGON_ASSIGN_OR_RETURN(ByteView rest, dec.GetFixedView(dec.remaining()));
   PORYGON_ASSIGN_OR_RETURN(w.proof, tx::WitnessProof::Decode(rest));
   return w;
 }
@@ -194,52 +150,48 @@ size_t WitnessedBlock::WireSize() const {
 }
 
 Bytes WitnessedBlock::Encode() const {
-  wire::Writer w;
-  w.Blob(header.Encode()).Varint(proofs.size());
-  for (const auto& p : proofs) w.Raw(p.Encode());
-  w.Varint(accesses.size());
+  Encoder enc;
+  enc.PutBytes(header.Encode());
+  enc.PutVarint(proofs.size());
+  for (const auto& p : proofs) enc.PutFixed(p.Encode());
+  enc.PutVarint(accesses.size());
   for (const auto& a : accesses) {
-    w.Array(a.id)
-        .U64(a.from)
-        .U64(a.to)
-        .U64(a.amount)
-        .U64(a.nonce)
-        .U64(a.submitted_at);
+    enc.PutArray(a.id);
+    enc.PutU64(a.from);
+    enc.PutU64(a.to);
+    enc.PutU64(a.amount);
+    enc.PutU64(a.nonce);
+    enc.PutU64(a.submitted_at);
   }
-  return w.Take();
+  return enc.TakeBuffer();
 }
 
 Result<WitnessedBlock> WitnessedBlock::Decode(ByteView data) {
+  Decoder dec(data);
   WitnessedBlock b;
-  wire::Reader r(data);
-  ByteView header_raw;
-  uint64_t n_proofs = 0;
-  r.BlobView(&header_raw).Varint(&n_proofs);
-  PORYGON_RETURN_IF_ERROR(r.status());
+  PORYGON_ASSIGN_OR_RETURN(ByteView header_raw, dec.GetBytesView());
   PORYGON_ASSIGN_OR_RETURN(b.header,
                            tx::TransactionBlockHeader::Decode(header_raw));
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n_proofs,
+                           dec.GetCount(tx::WitnessProof::kWireSize));
   b.proofs.reserve(n_proofs);
   for (uint64_t i = 0; i < n_proofs; ++i) {
-    ByteView raw;
-    r.FixedView(tx::WitnessProof::kWireSize, &raw);
-    PORYGON_RETURN_IF_ERROR(r.status());
+    PORYGON_ASSIGN_OR_RETURN(ByteView raw,
+                             dec.GetFixedView(tx::WitnessProof::kWireSize));
     PORYGON_ASSIGN_OR_RETURN(auto proof, tx::WitnessProof::Decode(raw));
-    b.proofs.push_back(std::move(proof));
+    b.proofs.push_back(proof);
   }
-  uint64_t n_access = 0;
-  r.Varint(&n_access);
-  for (uint64_t i = 0; i < n_access; ++i) {
-    TxAccess a;
-    r.Array(&a.id)
-        .U64(&a.from)
-        .U64(&a.to)
-        .U64(&a.amount)
-        .U64(&a.nonce)
-        .U64(&a.submitted_at);
-    if (!r.status().ok()) break;
-    b.accesses.push_back(a);
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n_access, dec.GetCount(kAccessWireSize));
+  b.accesses.resize(n_access);
+  for (auto& a : b.accesses) {
+    PORYGON_ASSIGN_OR_RETURN(a.id, dec.GetArray<32>());
+    PORYGON_ASSIGN_OR_RETURN(a.from, dec.GetU64());
+    PORYGON_ASSIGN_OR_RETURN(a.to, dec.GetU64());
+    PORYGON_ASSIGN_OR_RETURN(a.amount, dec.GetU64());
+    PORYGON_ASSIGN_OR_RETURN(a.nonce, dec.GetU64());
+    PORYGON_ASSIGN_OR_RETURN(a.submitted_at, dec.GetU64());
   }
-  PORYGON_RETURN_IF_ERROR(r.Finish("witnessed-block"));
+  PORYGON_RETURN_IF_ERROR(dec.Finish("witnessed-block"));
   return b;
 }
 
@@ -250,26 +202,26 @@ size_t WitnessBundle::WireSize() const {
 }
 
 Bytes WitnessBundle::Encode() const {
-  wire::Writer w;
-  w.U64(batch_round).Varint(blocks.size());
-  for (const auto& b : blocks) w.Blob(b.Encode());
-  return w.Take();
+  Encoder enc;
+  enc.PutU64(batch_round);
+  enc.PutVarint(blocks.size());
+  for (const auto& b : blocks) enc.PutBytes(b.Encode());
+  return enc.TakeBuffer();
 }
 
 Result<WitnessBundle> WitnessBundle::Decode(ByteView data) {
+  Decoder dec(data);
   WitnessBundle w;
-  wire::Reader r(data);
-  uint64_t n = 0;
-  r.U64(&w.batch_round).Varint(&n);
+  PORYGON_ASSIGN_OR_RETURN(w.batch_round, dec.GetU64());
+  // Each block costs at least its one-byte length prefix.
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n, dec.GetCount(1));
   w.blocks.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
-    ByteView raw;
-    r.BlobView(&raw);
-    PORYGON_RETURN_IF_ERROR(r.status());
+    PORYGON_ASSIGN_OR_RETURN(ByteView raw, dec.GetBytesView());
     PORYGON_ASSIGN_OR_RETURN(auto block, WitnessedBlock::Decode(raw));
     w.blocks.push_back(std::move(block));
   }
-  PORYGON_RETURN_IF_ERROR(r.Finish("bundle"));
+  PORYGON_RETURN_IF_ERROR(dec.Finish("bundle"));
   return w;
 }
 
@@ -278,14 +230,13 @@ Bytes ExecRequest::Encode() const {
   enc.PutU64(round);
   enc.PutU32(shard);
   enc.PutVarint(block_ids.size());
-  for (const auto& id : block_ids) PutHash(&enc, id);
-  enc.PutVarint(updates.size());
-  for (const auto& u : updates) PutUpdate(&enc, u);
+  for (const auto& id : block_ids) enc.PutArray(id);
+  tx::EncodeUpdates(updates, &enc);
   enc.PutVarint(discarded.size());
-  for (const auto& id : discarded) PutHash(&enc, id);
-  PutHash(&enc, shard_root);
+  for (const auto& id : discarded) enc.PutArray(id);
+  enc.PutArray(shard_root);
   enc.PutVarint(all_roots.size());
-  for (const auto& root : all_roots) PutHash(&enc, root);
+  for (const auto& root : all_roots) enc.PutArray(root);
   enc.PutVarint(members.size());
   for (auto m : members) enc.PutU32(m);
   return enc.TakeBuffer();
@@ -296,33 +247,29 @@ Result<ExecRequest> ExecRequest::Decode(ByteView data) {
   ExecRequest r;
   PORYGON_ASSIGN_OR_RETURN(r.round, dec.GetU64());
   PORYGON_ASSIGN_OR_RETURN(r.shard, dec.GetU32());
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_blocks, dec.GetVarint());
-  for (uint64_t i = 0; i < n_blocks; ++i) {
-    PORYGON_ASSIGN_OR_RETURN(auto id, GetHash(&dec));
-    r.block_ids.push_back(id);
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n_blocks, dec.GetCount(32));
+  r.block_ids.resize(n_blocks);
+  for (auto& id : r.block_ids) {
+    PORYGON_ASSIGN_OR_RETURN(id, dec.GetArray<32>());
   }
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_updates, dec.GetVarint());
-  for (uint64_t i = 0; i < n_updates; ++i) {
-    PORYGON_ASSIGN_OR_RETURN(auto u, GetUpdate(&dec));
-    r.updates.push_back(u);
+  PORYGON_ASSIGN_OR_RETURN(r.updates, tx::DecodeUpdates(&dec));
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n_disc, dec.GetCount(32));
+  r.discarded.resize(n_disc);
+  for (auto& id : r.discarded) {
+    PORYGON_ASSIGN_OR_RETURN(id, dec.GetArray<32>());
   }
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_disc, dec.GetVarint());
-  for (uint64_t i = 0; i < n_disc; ++i) {
-    PORYGON_ASSIGN_OR_RETURN(auto id, GetHash(&dec));
-    r.discarded.push_back(id);
-  }
-  PORYGON_ASSIGN_OR_RETURN(r.shard_root, GetHash(&dec));
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_roots, dec.GetVarint());
+  PORYGON_ASSIGN_OR_RETURN(r.shard_root, dec.GetArray<32>());
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n_roots, dec.GetCount(32));
   r.all_roots.resize(n_roots);
   for (auto& root : r.all_roots) {
-    PORYGON_ASSIGN_OR_RETURN(root, GetHash(&dec));
+    PORYGON_ASSIGN_OR_RETURN(root, dec.GetArray<32>());
   }
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_members, dec.GetVarint());
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n_members, dec.GetCount(4));
   r.members.resize(n_members);
   for (auto& m : r.members) {
     PORYGON_ASSIGN_OR_RETURN(m, dec.GetU32());
   }
-  if (!dec.Done()) return Status::Corruption("trailing exec-request bytes");
+  PORYGON_RETURN_IF_ERROR(dec.Finish("exec-request"));
   return r;
 }
 
@@ -340,12 +287,12 @@ Result<StateRequest> StateRequest::Decode(ByteView data) {
   StateRequest r;
   PORYGON_ASSIGN_OR_RETURN(r.round, dec.GetU64());
   PORYGON_ASSIGN_OR_RETURN(r.shard, dec.GetU32());
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n, dec.GetVarint());
-  for (uint64_t i = 0; i < n; ++i) {
-    PORYGON_ASSIGN_OR_RETURN(uint64_t a, dec.GetU64());
-    r.accounts.push_back(a);
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n, dec.GetCount(8));
+  r.accounts.resize(n);
+  for (auto& a : r.accounts) {
+    PORYGON_ASSIGN_OR_RETURN(a, dec.GetU64());
   }
-  if (!dec.Done()) return Status::Corruption("trailing state-request bytes");
+  PORYGON_RETURN_IF_ERROR(dec.Finish("state-request"));
   return r;
 }
 
@@ -375,87 +322,82 @@ Result<StateResponse> StateResponse::Decode(ByteView data) {
   StateResponse r;
   PORYGON_ASSIGN_OR_RETURN(r.round, dec.GetU64());
   PORYGON_ASSIGN_OR_RETURN(r.shard, dec.GetU32());
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n, dec.GetVarint());
-  for (uint64_t i = 0; i < n; ++i) {
-    Entry e;
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n, dec.GetCount(kEntryWireSize));
+  r.entries.resize(n);
+  for (auto& e : r.entries) {
     PORYGON_ASSIGN_OR_RETURN(e.account, dec.GetU64());
     PORYGON_ASSIGN_OR_RETURN(e.present, dec.GetBool());
     PORYGON_ASSIGN_OR_RETURN(e.value.balance, dec.GetU64());
     PORYGON_ASSIGN_OR_RETURN(e.value.nonce, dec.GetU64());
-    r.entries.push_back(e);
   }
   PORYGON_ASSIGN_OR_RETURN(r.proof_bytes, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_proofs, dec.GetVarint());
-  for (uint64_t i = 0; i < n_proofs; ++i) {
-    PORYGON_ASSIGN_OR_RETURN(Bytes p, dec.GetBytes());
-    r.proofs.push_back(std::move(p));
+  // Each proof costs at least its one-byte length prefix.
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n_proofs, dec.GetCount(1));
+  r.proofs.resize(n_proofs);
+  for (auto& p : r.proofs) {
+    PORYGON_ASSIGN_OR_RETURN(p, dec.GetBytes());
   }
-  if (!dec.Done()) return Status::Corruption("trailing state-response bytes");
+  PORYGON_RETURN_IF_ERROR(dec.Finish("state-response"));
   return r;
 }
 
 crypto::Hash256 ExecResultMsg::HashSSet(
     const std::vector<tx::StateUpdate>& s) {
   Encoder enc;
-  enc.PutVarint(s.size());
-  for (const auto& u : s) PutUpdate(&enc, u);
+  tx::EncodeUpdates(s, &enc);
   return crypto::Sha256::Hash(enc.buffer());
 }
 
+std::string ExecResultMsg::ResultKey(const crypto::Hash256& new_root,
+                                     const crypto::Hash256& s_hash) {
+  std::string key(new_root.begin(), new_root.end());
+  key.append(s_hash.begin(), s_hash.end());
+  return key;
+}
+
 Bytes ExecResultMsg::SigningBytes() const {
-  return wire::Writer()
-      .Str("porygon.exec-result")
-      .U64(exec_round)
-      .U32(shard)
-      .Array(new_root)
-      .Array(s_hash)
-      .U32(intra_applied)
-      .U32(cross_pre_executed)
-      .Take();
+  Encoder enc;
+  enc.PutString("porygon.exec-result");
+  enc.PutU64(exec_round);
+  enc.PutU32(shard);
+  enc.PutArray(new_root);
+  enc.PutArray(s_hash);
+  enc.PutU32(intra_applied);
+  enc.PutU32(cross_pre_executed);
+  return enc.TakeBuffer();
 }
 
 Bytes ExecResultMsg::Encode() const {
-  wire::Writer w;
-  w.U64(exec_round)
-      .U32(shard)
-      .Array(new_root)
-      .Array(s_hash)
-      .Bool(full);
-  if (full) {
-    w.Varint(s_set.size());
-    for (const auto& u : s_set) WriteUpdate(&w, u);
-  }
-  w.U32(intra_applied)
-      .U32(cross_pre_executed)
-      .Array(signer)
-      .Array(signature);
-  return w.Take();
+  Encoder enc;
+  enc.PutU64(exec_round);
+  enc.PutU32(shard);
+  enc.PutArray(new_root);
+  enc.PutArray(s_hash);
+  enc.PutBool(full);
+  if (full) tx::EncodeUpdates(s_set, &enc);
+  enc.PutU32(intra_applied);
+  enc.PutU32(cross_pre_executed);
+  enc.PutArray(signer);
+  enc.PutArray(signature);
+  return enc.TakeBuffer();
 }
 
 Result<ExecResultMsg> ExecResultMsg::Decode(ByteView data) {
+  Decoder dec(data);
   ExecResultMsg m;
-  wire::Reader r(data);
-  r.U64(&m.exec_round)
-      .U32(&m.shard)
-      .Array(&m.new_root)
-      .Array(&m.s_hash)
-      .Bool(&m.full);
-  if (m.full && r.status().ok()) {
-    uint64_t n = 0;
-    r.Varint(&n);
-    m.s_set.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      tx::StateUpdate u;
-      ReadUpdate(&r, &u);
-      if (!r.status().ok()) break;
-      m.s_set.push_back(u);
-    }
+  PORYGON_ASSIGN_OR_RETURN(m.exec_round, dec.GetU64());
+  PORYGON_ASSIGN_OR_RETURN(m.shard, dec.GetU32());
+  PORYGON_ASSIGN_OR_RETURN(m.new_root, dec.GetArray<32>());
+  PORYGON_ASSIGN_OR_RETURN(m.s_hash, dec.GetArray<32>());
+  PORYGON_ASSIGN_OR_RETURN(m.full, dec.GetBool());
+  if (m.full) {
+    PORYGON_ASSIGN_OR_RETURN(m.s_set, tx::DecodeUpdates(&dec));
   }
-  r.U32(&m.intra_applied)
-      .U32(&m.cross_pre_executed)
-      .Array(&m.signer)
-      .Array(&m.signature);
-  PORYGON_RETURN_IF_ERROR(r.Finish("exec-result"));
+  PORYGON_ASSIGN_OR_RETURN(m.intra_applied, dec.GetU32());
+  PORYGON_ASSIGN_OR_RETURN(m.cross_pre_executed, dec.GetU32());
+  PORYGON_ASSIGN_OR_RETURN(m.signer, dec.GetArray<32>());
+  PORYGON_ASSIGN_OR_RETURN(m.signature, dec.GetArray<64>());
+  PORYGON_RETURN_IF_ERROR(dec.Finish("exec-result"));
   return m;
 }
 
@@ -487,7 +429,7 @@ Result<Relay> Relay::Decode(ByteView data) {
     PORYGON_ASSIGN_OR_RETURN(r.trace.trace_id, dec.GetU64());
     PORYGON_ASSIGN_OR_RETURN(r.trace.parent_span, dec.GetU64());
   }
-  if (!dec.Done()) return Status::Corruption("trailing relay bytes");
+  PORYGON_RETURN_IF_ERROR(dec.Finish("relay"));
   return r;
 }
 
@@ -497,38 +439,37 @@ size_t BodyChunk::WireSize() const {
 }
 
 Bytes BodyChunk::Encode() const {
-  wire::Writer w;
-  w.U64(round)
-      .U32(shard)
-      .Blob(header.Encode())
-      .U16(index)
-      .U16(k)
-      .U16(n)
-      .Varint(peers.size());
-  for (net::NodeId p : peers) w.U32(p);
-  w.Blob(payload);
-  return w.Take();
+  Encoder enc;
+  enc.PutU64(round);
+  enc.PutU32(shard);
+  enc.PutBytes(header.Encode());
+  enc.PutU16(index);
+  enc.PutU16(k);
+  enc.PutU16(n);
+  enc.PutVarint(peers.size());
+  for (net::NodeId p : peers) enc.PutU32(p);
+  enc.PutBytes(payload);
+  return enc.TakeBuffer();
 }
 
 Result<BodyChunk> BodyChunk::Decode(ByteView data) {
+  Decoder dec(data);
   BodyChunk c;
-  wire::Reader r(data);
-  ByteView header_raw;
-  r.U64(&c.round).U32(&c.shard).BlobView(&header_raw);
-  PORYGON_RETURN_IF_ERROR(r.status());
+  PORYGON_ASSIGN_OR_RETURN(c.round, dec.GetU64());
+  PORYGON_ASSIGN_OR_RETURN(c.shard, dec.GetU32());
+  PORYGON_ASSIGN_OR_RETURN(ByteView header_raw, dec.GetBytesView());
   PORYGON_ASSIGN_OR_RETURN(c.header,
                            tx::TransactionBlockHeader::Decode(header_raw));
-  uint64_t n_peers = 0;
-  r.U16(&c.index).U16(&c.k).U16(&c.n).Varint(&n_peers);
-  if (r.status().ok()) c.peers.reserve(n_peers);
-  for (uint64_t i = 0; i < n_peers; ++i) {
-    net::NodeId p = net::kInvalidNode;
-    r.U32(&p);
-    if (!r.status().ok()) break;
-    c.peers.push_back(p);
+  PORYGON_ASSIGN_OR_RETURN(c.index, dec.GetU16());
+  PORYGON_ASSIGN_OR_RETURN(c.k, dec.GetU16());
+  PORYGON_ASSIGN_OR_RETURN(c.n, dec.GetU16());
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n_peers, dec.GetCount(4));
+  c.peers.resize(n_peers);
+  for (auto& p : c.peers) {
+    PORYGON_ASSIGN_OR_RETURN(p, dec.GetU32());
   }
-  r.Blob(&c.payload);
-  PORYGON_RETURN_IF_ERROR(r.Finish("body-chunk"));
+  PORYGON_ASSIGN_OR_RETURN(c.payload, dec.GetBytes());
+  PORYGON_RETURN_IF_ERROR(dec.Finish("body-chunk"));
   return c;
 }
 
@@ -542,26 +483,30 @@ size_t AggregatedWitness::WireSize() const {
 }
 
 Bytes AggregatedWitness::Encode() const {
-  wire::Writer w;
-  w.U64(batch_round).U32(shard).U32(aggregator).Varint(blocks.size());
-  for (const auto& b : blocks) w.Blob(b.Encode());
-  return w.Take();
+  Encoder enc;
+  enc.PutU64(batch_round);
+  enc.PutU32(shard);
+  enc.PutU32(aggregator);
+  enc.PutVarint(blocks.size());
+  for (const auto& b : blocks) enc.PutBytes(b.Encode());
+  return enc.TakeBuffer();
 }
 
 Result<AggregatedWitness> AggregatedWitness::Decode(ByteView data) {
+  Decoder dec(data);
   AggregatedWitness a;
-  wire::Reader r(data);
-  uint64_t n = 0;
-  r.U64(&a.batch_round).U32(&a.shard).U32(&a.aggregator).Varint(&n);
+  PORYGON_ASSIGN_OR_RETURN(a.batch_round, dec.GetU64());
+  PORYGON_ASSIGN_OR_RETURN(a.shard, dec.GetU32());
+  PORYGON_ASSIGN_OR_RETURN(a.aggregator, dec.GetU32());
+  // Each block costs at least its one-byte length prefix.
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n, dec.GetCount(1));
   a.blocks.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
-    ByteView raw;
-    r.BlobView(&raw);
-    PORYGON_RETURN_IF_ERROR(r.status());
+    PORYGON_ASSIGN_OR_RETURN(ByteView raw, dec.GetBytesView());
     PORYGON_ASSIGN_OR_RETURN(auto block, WitnessedBlock::Decode(raw));
     a.blocks.push_back(std::move(block));
   }
-  PORYGON_RETURN_IF_ERROR(r.Finish("agg-witness"));
+  PORYGON_RETURN_IF_ERROR(dec.Finish("agg-witness"));
   return a;
 }
 
@@ -583,61 +528,47 @@ size_t AggregatedExecResult::WireSize() const {
 }
 
 Bytes AggregatedExecResult::Encode() const {
-  wire::Writer w;
-  w.U64(exec_round)
-      .U32(shard)
-      .Array(new_root)
-      .Array(s_hash)
-      .U32(intra_applied)
-      .U32(cross_pre_executed)
-      .Bool(has_payload);
-  if (has_payload) {
-    w.Varint(s_set.size());
-    for (const auto& u : s_set) WriteUpdate(&w, u);
-  }
-  w.U32(aggregator).Varint(signers.size());
+  Encoder enc;
+  enc.PutU64(exec_round);
+  enc.PutU32(shard);
+  enc.PutArray(new_root);
+  enc.PutArray(s_hash);
+  enc.PutU32(intra_applied);
+  enc.PutU32(cross_pre_executed);
+  enc.PutBool(has_payload);
+  if (has_payload) tx::EncodeUpdates(s_set, &enc);
+  enc.PutU32(aggregator);
+  enc.PutVarint(signers.size());
   for (size_t i = 0; i < signers.size(); ++i) {
-    w.Array(signers[i]).Array(signatures[i]);
+    enc.PutArray(signers[i]);
+    enc.PutArray(signatures[i]);
   }
-  return w.Take();
+  return enc.TakeBuffer();
 }
 
 Result<AggregatedExecResult> AggregatedExecResult::Decode(ByteView data) {
+  Decoder dec(data);
   AggregatedExecResult a;
-  wire::Reader r(data);
-  r.U64(&a.exec_round)
-      .U32(&a.shard)
-      .Array(&a.new_root)
-      .Array(&a.s_hash)
-      .U32(&a.intra_applied)
-      .U32(&a.cross_pre_executed)
-      .Bool(&a.has_payload);
-  if (a.has_payload && r.status().ok()) {
-    uint64_t n = 0;
-    r.Varint(&n);
-    a.s_set.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      tx::StateUpdate u;
-      ReadUpdate(&r, &u);
-      if (!r.status().ok()) break;
-      a.s_set.push_back(u);
-    }
+  PORYGON_ASSIGN_OR_RETURN(a.exec_round, dec.GetU64());
+  PORYGON_ASSIGN_OR_RETURN(a.shard, dec.GetU32());
+  PORYGON_ASSIGN_OR_RETURN(a.new_root, dec.GetArray<32>());
+  PORYGON_ASSIGN_OR_RETURN(a.s_hash, dec.GetArray<32>());
+  PORYGON_ASSIGN_OR_RETURN(a.intra_applied, dec.GetU32());
+  PORYGON_ASSIGN_OR_RETURN(a.cross_pre_executed, dec.GetU32());
+  PORYGON_ASSIGN_OR_RETURN(a.has_payload, dec.GetBool());
+  if (a.has_payload) {
+    PORYGON_ASSIGN_OR_RETURN(a.s_set, tx::DecodeUpdates(&dec));
   }
-  uint64_t n_signers = 0;
-  r.U32(&a.aggregator).Varint(&n_signers);
-  if (r.status().ok()) {
-    a.signers.reserve(n_signers);
-    a.signatures.reserve(n_signers);
-  }
+  PORYGON_ASSIGN_OR_RETURN(a.aggregator, dec.GetU32());
+  // One (signer, signature) pair per attestation.
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n_signers, dec.GetCount(32 + 64));
+  a.signers.resize(n_signers);
+  a.signatures.resize(n_signers);
   for (uint64_t i = 0; i < n_signers; ++i) {
-    crypto::PublicKey key{};
-    crypto::Signature sig{};
-    r.Array(&key).Array(&sig);
-    if (!r.status().ok()) break;
-    a.signers.push_back(key);
-    a.signatures.push_back(sig);
+    PORYGON_ASSIGN_OR_RETURN(a.signers[i], dec.GetArray<32>());
+    PORYGON_ASSIGN_OR_RETURN(a.signatures[i], dec.GetArray<64>());
   }
-  PORYGON_RETURN_IF_ERROR(r.Finish("agg-exec-result"));
+  PORYGON_RETURN_IF_ERROR(dec.Finish("agg-exec-result"));
   return a;
 }
 
@@ -668,47 +599,47 @@ size_t CompactVoteCert::WireSize() const {
 }
 
 Bytes CompactVoteCert::Encode() const {
-  wire::Writer w;
-  w.U64(instance)
-      .U32(step)
-      .U8(kind)
-      .Array(value)
-      .U64(bitmap)
-      .Varint(signatures.size());
-  for (const auto& s : signatures) w.Array(s);
-  return w.Take();
+  Encoder enc;
+  enc.PutU64(instance);
+  enc.PutU32(step);
+  enc.PutU8(kind);
+  enc.PutArray(value);
+  enc.PutU64(bitmap);
+  enc.PutVarint(signatures.size());
+  for (const auto& s : signatures) enc.PutArray(s);
+  return enc.TakeBuffer();
 }
 
 Result<CompactVoteCert> CompactVoteCert::Decode(ByteView data) {
+  Decoder dec(data);
   CompactVoteCert c;
-  wire::Reader r(data);
-  uint64_t n = 0;
-  r.U64(&c.instance)
-      .U32(&c.step)
-      .U8(&c.kind)
-      .Array(&c.value)
-      .U64(&c.bitmap)
-      .Varint(&n);
-  if (r.status().ok()) c.signatures.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    crypto::Signature sig{};
-    r.Array(&sig);
-    if (!r.status().ok()) break;
-    c.signatures.push_back(sig);
+  PORYGON_ASSIGN_OR_RETURN(c.instance, dec.GetU64());
+  PORYGON_ASSIGN_OR_RETURN(c.step, dec.GetU32());
+  PORYGON_ASSIGN_OR_RETURN(c.kind, dec.GetU8());
+  PORYGON_ASSIGN_OR_RETURN(c.value, dec.GetArray<32>());
+  PORYGON_ASSIGN_OR_RETURN(c.bitmap, dec.GetU64());
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n, dec.GetCount(64));
+  c.signatures.resize(n);
+  for (auto& sig : c.signatures) {
+    PORYGON_ASSIGN_OR_RETURN(sig, dec.GetArray<64>());
   }
-  PORYGON_RETURN_IF_ERROR(r.Finish("vote-cert"));
+  PORYGON_RETURN_IF_ERROR(dec.Finish("vote-cert"));
   return c;
 }
 
 Bytes RelayAck::Encode() const {
-  return wire::Writer().U64(round).Array(digest).Take();
+  Encoder enc;
+  enc.PutU64(round);
+  enc.PutArray(digest);
+  return enc.TakeBuffer();
 }
 
 Result<RelayAck> RelayAck::Decode(ByteView data) {
+  Decoder dec(data);
   RelayAck a;
-  wire::Reader r(data);
-  r.U64(&a.round).Array(&a.digest);
-  PORYGON_RETURN_IF_ERROR(r.Finish("relay-ack"));
+  PORYGON_ASSIGN_OR_RETURN(a.round, dec.GetU64());
+  PORYGON_ASSIGN_OR_RETURN(a.digest, dec.GetArray<32>());
+  PORYGON_RETURN_IF_ERROR(dec.Finish("relay-ack"));
   return a;
 }
 

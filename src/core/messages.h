@@ -2,6 +2,7 @@
 #define PORYGON_CORE_MESSAGES_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/bytes.h"
@@ -204,6 +205,11 @@ struct ExecResultMsg {
 
   /// Computes s_hash from s_set.
   static crypto::Hash256 HashSSet(const std::vector<tx::StateUpdate>& s);
+  /// Map key naming one execution outcome, `new_root || s_hash` (64 bytes):
+  /// identical execution yields an identical key, so OC members and relays
+  /// count signers per key.
+  static std::string ResultKey(const crypto::Hash256& new_root,
+                               const crypto::Hash256& s_hash);
 
   /// Bytes covered by the signature.
   Bytes SigningBytes() const;

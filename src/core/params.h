@@ -87,12 +87,6 @@ struct Params {
   /// Probes per rotation before giving up on readoption.
   int storage_probe_limit = 4;
 
-  // --- Adversary (§III-B) -------------------------------------------------
-  /// Fraction of malicious stateless nodes (α = 1/4).
-  double malicious_stateless_fraction = 0.0;
-  /// Fraction of malicious storage nodes (β = 1/2 max).
-  double malicious_storage_fraction = 0.0;
-
   int shard_count() const { return 1 << shard_bits; }
 };
 

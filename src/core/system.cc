@@ -74,22 +74,6 @@ Status SystemOptions::Validate() const {
     return Status::InvalidArgument(
         "epoch_length must be 0 (disabled) or >= 2");
   }
-  if (!fraction(malicious_storage_fraction)) {
-    return Status::InvalidArgument(
-        "malicious_storage_fraction outside [0,1]");
-  }
-  if (malicious_storage_fraction > 0.5) {
-    return Status::InvalidArgument(
-        "malicious_storage_fraction exceeds the paper's beta bound (1/2)");
-  }
-  if (!fraction(malicious_stateless_fraction)) {
-    return Status::InvalidArgument(
-        "malicious_stateless_fraction outside [0,1]");
-  }
-  if (malicious_stateless_fraction > 0.25) {
-    return Status::InvalidArgument(
-        "malicious_stateless_fraction exceeds the paper's alpha bound (1/4)");
-  }
   if (adversary.stateless != AdvStrategy::kHonest &&
       !IsStatelessStrategy(adversary.stateless)) {
     return Status::InvalidArgument(
@@ -107,12 +91,6 @@ Status SystemOptions::Validate() const {
   if (adversary.beta < 0 || adversary.beta > 0.5) {
     return Status::InvalidArgument(
         "adversary.beta outside the paper's bound [0,1/2]");
-  }
-  if (!adversary.empty() && (malicious_storage_fraction > 0 ||
-                             malicious_stateless_fraction > 0)) {
-    return Status::InvalidArgument(
-        "adversary spec and legacy malicious fractions are mutually "
-        "exclusive");
   }
   if (mean_session_s < 0) {
     return Status::InvalidArgument("mean_session_s must be >= 0");
@@ -367,26 +345,8 @@ PorygonSystem::PorygonSystem(const SystemOptions& options)
       std::make_unique<state::ShardedState>(options_.params.shard_bits);
 
   // --- Adversary ----------------------------------------------------------
-  // The legacy fraction knobs are just the silent/withhold strategies of
-  // the framework; synthesize the equivalent spec so one mechanism places
-  // and drives every corrupted node. The synthesized seed tracks the
-  // system seed so legacy runs still re-deal placement per seed.
-  AdversarySpec effective_adversary = options_.adversary;
-  if (effective_adversary.empty() &&
-      (options_.malicious_stateless_fraction > 0 ||
-       options_.malicious_storage_fraction > 0)) {
-    if (options_.malicious_stateless_fraction > 0) {
-      effective_adversary.stateless = AdvStrategy::kSilent;
-      effective_adversary.alpha = options_.malicious_stateless_fraction;
-    }
-    if (options_.malicious_storage_fraction > 0) {
-      effective_adversary.storage = AdvStrategy::kWithhold;
-      effective_adversary.beta = options_.malicious_storage_fraction;
-    }
-    effective_adversary.seed = options_.seed;
-  }
   adversary_ = std::make_unique<AdversaryController>(
-      effective_adversary, &metrics_registry_, &tracer_);
+      options_.adversary, &metrics_registry_, &tracer_);
 
   // --- Nodes --------------------------------------------------------------
   // One Topology materializes every node (storage first, then stateless);

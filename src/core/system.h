@@ -79,17 +79,8 @@ struct SystemOptions {
   bool faithful_execution = false;
   /// Modeled multiproof cost per account when proofs are not materialized.
   size_t state_proof_bytes_per_account = 128;
-  /// Fraction of storage nodes that withhold transaction bodies
-  /// (data-availability attack, Challenge 2). Bounded by the paper's
-  /// β ≤ 1/2. Legacy shorthand for `adversary` with storage:withhold.
-  double malicious_storage_fraction = 0.0;
-  /// Fraction of stateless nodes that stay silent (crash-style faults).
-  /// Bounded by the paper's α ≤ 1/4. Legacy shorthand for `adversary`
-  /// with stateless:silent.
-  double malicious_stateless_fraction = 0.0;
   /// Active Byzantine adversary for this run (see core/adversary.h);
-  /// empty = honest. Mutually exclusive with the legacy fractions above,
-  /// which are converted into the equivalent silent/withhold spec.
+  /// empty = honest.
   AdversarySpec adversary;
   /// Message-flow shaping for the run (see net/dissemination.h): `direct`
   /// is the legacy leader-centric star and is byte-identical to builds

@@ -16,7 +16,7 @@ Result<Account> DecodeAccount(ByteView data) {
   Account account;
   PORYGON_ASSIGN_OR_RETURN(account.balance, dec.GetU64());
   PORYGON_ASSIGN_OR_RETURN(account.nonce, dec.GetU64());
-  if (!dec.Done()) return Status::Corruption("trailing bytes after account");
+  PORYGON_RETURN_IF_ERROR(dec.Finish("account"));
   return account;
 }
 
@@ -29,7 +29,7 @@ Bytes AccountKey(AccountId id) {
 Result<AccountId> DecodeAccountKey(ByteView data) {
   Decoder dec(data);
   PORYGON_ASSIGN_OR_RETURN(AccountId id, dec.GetU64());
-  if (!dec.Done()) return Status::Corruption("trailing bytes after key");
+  PORYGON_RETURN_IF_ERROR(dec.Finish("key"));
   return id;
 }
 

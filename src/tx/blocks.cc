@@ -1,9 +1,5 @@
 #include "tx/blocks.h"
 
-#include <cstring>
-
-#include "common/codec.h"
-#include "common/wire.h"
 #include "crypto/merkle.h"
 
 namespace porygon::tx {
@@ -11,42 +7,31 @@ namespace porygon::tx {
 using crypto::Hash256;
 
 namespace {
-void PutHash(Encoder* enc, const Hash256& h) {
-  enc->PutFixed(ByteView(h.data(), h.size()));
-}
-
-Result<Hash256> GetHash(Decoder* dec) {
-  PORYGON_ASSIGN_OR_RETURN(Bytes raw, dec->GetFixed(32));
-  Hash256 h;
-  std::memcpy(h.data(), raw.data(), 32);
-  return h;
-}
-
-void PutKey(Encoder* enc, const crypto::PublicKey& k) {
-  enc->PutFixed(ByteView(k.data(), k.size()));
-}
-
-Result<crypto::PublicKey> GetKey(Decoder* dec) {
-  PORYGON_ASSIGN_OR_RETURN(Bytes raw, dec->GetFixed(32));
-  crypto::PublicKey k;
-  std::memcpy(k.data(), raw.data(), 32);
-  return k;
-}
-
-// doubles are stored as fixed bit patterns to keep hashing deterministic.
-void PutDouble(Encoder* enc, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  enc->PutU64(bits);
-}
-
-Result<double> GetDouble(Decoder* dec) {
-  PORYGON_ASSIGN_OR_RETURN(uint64_t bits, dec->GetU64());
-  double v;
-  std::memcpy(&v, &bits, 8);
-  return v;
-}
+// Encoded transaction: five u64 body fields plus the signature.
+constexpr size_t kTxEncodedSize = 5 * 8 + sizeof(crypto::Signature);
+// Smallest encoded StateUpdate: three one-byte varints.
+constexpr size_t kMinUpdateSize = 3;
 }  // namespace
+
+void EncodeUpdates(const std::vector<StateUpdate>& updates, Encoder* enc) {
+  enc->PutVarint(updates.size());
+  for (const auto& u : updates) {
+    enc->PutVarint(u.account);
+    enc->PutVarint(u.value.balance);
+    enc->PutVarint(u.value.nonce);
+  }
+}
+
+Result<std::vector<StateUpdate>> DecodeUpdates(Decoder* dec) {
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n, dec->GetCount(kMinUpdateSize));
+  std::vector<StateUpdate> updates(n);
+  for (auto& u : updates) {
+    PORYGON_ASSIGN_OR_RETURN(u.account, dec->GetVarint());
+    PORYGON_ASSIGN_OR_RETURN(u.value.balance, dec->GetVarint());
+    PORYGON_ASSIGN_OR_RETURN(u.value.nonce, dec->GetVarint());
+  }
+  return updates;
+}
 
 Bytes TransactionBlockHeader::Encode() const {
   Encoder enc;
@@ -54,7 +39,7 @@ Bytes TransactionBlockHeader::Encode() const {
   enc.PutU64(round_created);
   enc.PutU32(shard);
   enc.PutU32(tx_count);
-  PutHash(&enc, tx_root);
+  enc.PutArray(tx_root);
   return enc.TakeBuffer();
 }
 
@@ -65,8 +50,8 @@ Result<TransactionBlockHeader> TransactionBlockHeader::Decode(ByteView data) {
   PORYGON_ASSIGN_OR_RETURN(h.round_created, dec.GetU64());
   PORYGON_ASSIGN_OR_RETURN(h.shard, dec.GetU32());
   PORYGON_ASSIGN_OR_RETURN(h.tx_count, dec.GetU32());
-  PORYGON_ASSIGN_OR_RETURN(h.tx_root, GetHash(&dec));
-  if (!dec.Done()) return Status::Corruption("trailing header bytes");
+  PORYGON_ASSIGN_OR_RETURN(h.tx_root, dec.GetArray<32>());
+  PORYGON_RETURN_IF_ERROR(dec.Finish("header"));
   return h;
 }
 
@@ -91,85 +76,73 @@ bool TransactionBlock::BodyMatchesHeader() const {
 }
 
 Bytes TransactionBlock::Encode() const {
-  wire::Writer w;
-  w.Blob(header.Encode()).Varint(transactions.size());
-  for (const auto& t : transactions) w.Raw(t.Encode());
-  return w.Take();
+  Encoder enc;
+  enc.PutBytes(header.Encode());
+  enc.PutVarint(transactions.size());
+  for (const auto& t : transactions) enc.PutFixed(t.Encode());
+  return enc.TakeBuffer();
 }
 
 Result<TransactionBlock> TransactionBlock::Decode(ByteView data) {
+  Decoder dec(data);
   TransactionBlock block;
-  wire::Reader r(data);
-  ByteView header_raw;
-  uint64_t count = 0;
   // Borrowed-view header read: relay/chunk reassembly paths decode bodies
   // out of buffers they already own, so the nested header needs no copy.
-  r.BlobView(&header_raw).Varint(&count);
-  PORYGON_RETURN_IF_ERROR(r.status());
+  PORYGON_ASSIGN_OR_RETURN(ByteView header_raw, dec.GetBytesView());
   PORYGON_ASSIGN_OR_RETURN(block.header,
                            TransactionBlockHeader::Decode(header_raw));
+  PORYGON_ASSIGN_OR_RETURN(uint64_t count, dec.GetCount(kTxEncodedSize));
   block.transactions.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    PORYGON_ASSIGN_OR_RETURN(Transaction t,
-                             Transaction::DecodeFrom(r.decoder()));
+    PORYGON_ASSIGN_OR_RETURN(Transaction t, Transaction::DecodeFrom(&dec));
     block.transactions.push_back(std::move(t));
   }
-  PORYGON_RETURN_IF_ERROR(r.Finish("block"));
+  PORYGON_RETURN_IF_ERROR(dec.Finish("block"));
   return block;
 }
 
 Bytes WitnessProof::Encode() const {
   Encoder enc;
-  PutHash(&enc, block_id);
-  PutKey(&enc, witness);
-  enc.PutFixed(ByteView(signature.data(), signature.size()));
+  enc.PutArray(block_id);
+  enc.PutArray(witness);
+  enc.PutArray(signature);
   return enc.TakeBuffer();
 }
 
 Result<WitnessProof> WitnessProof::Decode(ByteView data) {
   Decoder dec(data);
   WitnessProof p;
-  PORYGON_ASSIGN_OR_RETURN(p.block_id, GetHash(&dec));
-  PORYGON_ASSIGN_OR_RETURN(p.witness, GetKey(&dec));
-  PORYGON_ASSIGN_OR_RETURN(Bytes sig, dec.GetFixed(64));
-  std::memcpy(p.signature.data(), sig.data(), 64);
-  if (!dec.Done()) return Status::Corruption("trailing proof bytes");
+  PORYGON_ASSIGN_OR_RETURN(p.block_id, dec.GetArray<32>());
+  PORYGON_ASSIGN_OR_RETURN(p.witness, dec.GetArray<32>());
+  PORYGON_ASSIGN_OR_RETURN(p.signature, dec.GetArray<64>());
+  PORYGON_RETURN_IF_ERROR(dec.Finish("proof"));
   return p;
 }
 
 Bytes ProposalBlock::Encode() const {
   Encoder enc;
   enc.PutU64(height);
-  PutHash(&enc, prev_hash);
+  enc.PutArray(prev_hash);
   enc.PutU64(round);
-  PutKey(&enc, leader);
+  enc.PutArray(leader);
 
   enc.PutVarint(shard_tx_blocks.size());
   for (const auto& list : shard_tx_blocks) {
     enc.PutVarint(list.size());
-    for (const auto& id : list) PutHash(&enc, id);
+    for (const auto& id : list) enc.PutArray(id);
   }
 
   enc.PutVarint(shard_updates.size());
-  for (const auto& list : shard_updates) {
-    enc.PutVarint(list.size());
-    for (const auto& u : list) {
-      // Varint-coded: update lists (U) are the bulk of a proposal block
-      // under cross-shard load.
-      enc.PutVarint(u.account);
-      enc.PutVarint(u.value.balance);
-      enc.PutVarint(u.value.nonce);
-    }
-  }
+  for (const auto& list : shard_updates) EncodeUpdates(list, &enc);
 
   enc.PutVarint(discarded.size());
-  for (const auto& id : discarded) PutHash(&enc, id);
+  for (const auto& id : discarded) enc.PutArray(id);
 
   enc.PutVarint(shard_roots.size());
-  for (const auto& r : shard_roots) PutHash(&enc, r);
-  PutHash(&enc, state_root);
-  PutDouble(&enc, ordering_threshold);
-  PutDouble(&enc, execution_threshold);
+  for (const auto& r : shard_roots) enc.PutArray(r);
+  enc.PutArray(state_root);
+  enc.PutF64(ordering_threshold);
+  enc.PutF64(execution_threshold);
   return enc.TakeBuffer();
 }
 
@@ -177,47 +150,42 @@ Result<ProposalBlock> ProposalBlock::Decode(ByteView data) {
   Decoder dec(data);
   ProposalBlock b;
   PORYGON_ASSIGN_OR_RETURN(b.height, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(b.prev_hash, GetHash(&dec));
+  PORYGON_ASSIGN_OR_RETURN(b.prev_hash, dec.GetArray<32>());
   PORYGON_ASSIGN_OR_RETURN(b.round, dec.GetU64());
-  PORYGON_ASSIGN_OR_RETURN(b.leader, GetKey(&dec));
+  PORYGON_ASSIGN_OR_RETURN(b.leader, dec.GetArray<32>());
 
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_shards, dec.GetVarint());
+  // Each per-shard list costs at least its one-byte count.
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n_shards, dec.GetCount(1));
   b.shard_tx_blocks.resize(n_shards);
   for (auto& list : b.shard_tx_blocks) {
-    PORYGON_ASSIGN_OR_RETURN(uint64_t n, dec.GetVarint());
+    PORYGON_ASSIGN_OR_RETURN(uint64_t n, dec.GetCount(32));
     list.resize(n);
     for (auto& id : list) {
-      PORYGON_ASSIGN_OR_RETURN(id, GetHash(&dec));
+      PORYGON_ASSIGN_OR_RETURN(id, dec.GetArray<32>());
     }
   }
 
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_update_shards, dec.GetVarint());
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n_update_shards, dec.GetCount(1));
   b.shard_updates.resize(n_update_shards);
   for (auto& list : b.shard_updates) {
-    PORYGON_ASSIGN_OR_RETURN(uint64_t n, dec.GetVarint());
-    list.resize(n);
-    for (auto& u : list) {
-      PORYGON_ASSIGN_OR_RETURN(u.account, dec.GetVarint());
-      PORYGON_ASSIGN_OR_RETURN(u.value.balance, dec.GetVarint());
-      PORYGON_ASSIGN_OR_RETURN(u.value.nonce, dec.GetVarint());
-    }
+    PORYGON_ASSIGN_OR_RETURN(list, DecodeUpdates(&dec));
   }
 
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_disc, dec.GetVarint());
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n_disc, dec.GetCount(32));
   b.discarded.resize(n_disc);
   for (auto& id : b.discarded) {
-    PORYGON_ASSIGN_OR_RETURN(id, GetHash(&dec));
+    PORYGON_ASSIGN_OR_RETURN(id, dec.GetArray<32>());
   }
 
-  PORYGON_ASSIGN_OR_RETURN(uint64_t n_roots, dec.GetVarint());
+  PORYGON_ASSIGN_OR_RETURN(uint64_t n_roots, dec.GetCount(32));
   b.shard_roots.resize(n_roots);
   for (auto& r : b.shard_roots) {
-    PORYGON_ASSIGN_OR_RETURN(r, GetHash(&dec));
+    PORYGON_ASSIGN_OR_RETURN(r, dec.GetArray<32>());
   }
-  PORYGON_ASSIGN_OR_RETURN(b.state_root, GetHash(&dec));
-  PORYGON_ASSIGN_OR_RETURN(b.ordering_threshold, GetDouble(&dec));
-  PORYGON_ASSIGN_OR_RETURN(b.execution_threshold, GetDouble(&dec));
-  if (!dec.Done()) return Status::Corruption("trailing proposal bytes");
+  PORYGON_ASSIGN_OR_RETURN(b.state_root, dec.GetArray<32>());
+  PORYGON_ASSIGN_OR_RETURN(b.ordering_threshold, dec.GetF64());
+  PORYGON_ASSIGN_OR_RETURN(b.execution_threshold, dec.GetF64());
+  PORYGON_RETURN_IF_ERROR(dec.Finish("proposal"));
   return b;
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "common/status.h"
 #include "crypto/ed25519.h"
 #include "crypto/sha256.h"
@@ -73,6 +74,13 @@ struct StateUpdate {
 
   bool operator==(const StateUpdate&) const = default;
 };
+
+/// The StateUpdate list codec: a varint count, then varint account, balance
+/// and nonce per entry. Typical entries (20-bit accounts, sub-2^32 balances,
+/// tiny nonces) cost ~8 bytes instead of 24; these lists are the bulk of a
+/// proposal block under cross-shard load and of the exec-result fan-in.
+void EncodeUpdates(const std::vector<StateUpdate>& updates, Encoder* enc);
+Result<std::vector<StateUpdate>> DecodeUpdates(Decoder* dec);
 
 /// Proposal block: the small block the Ordering Committee agrees on each
 /// round (Fig 3). It chains by prev_hash, lists witnessed transaction

@@ -1,7 +1,5 @@
 #include "tx/transaction.h"
 
-#include <cstring>
-
 namespace porygon::tx {
 
 namespace {
@@ -28,10 +26,8 @@ Bytes Transaction::Encode() const {
 
 Result<Transaction> Transaction::Decode(ByteView data) {
   Decoder dec(data);
-  PORYGON_ASSIGN_OR_RETURN(Transaction t, [&]() -> Result<Transaction> {
-    return DecodeFrom(&dec);
-  }());
-  if (!dec.Done()) return Status::Corruption("trailing bytes after tx");
+  PORYGON_ASSIGN_OR_RETURN(Transaction t, DecodeFrom(&dec));
+  PORYGON_RETURN_IF_ERROR(dec.Finish("tx"));
   return t;
 }
 
@@ -42,8 +38,7 @@ Result<Transaction> Transaction::DecodeFrom(Decoder* dec) {
   PORYGON_ASSIGN_OR_RETURN(t.amount, dec->GetU64());
   PORYGON_ASSIGN_OR_RETURN(t.nonce, dec->GetU64());
   PORYGON_ASSIGN_OR_RETURN(t.submitted_at, dec->GetU64());
-  PORYGON_ASSIGN_OR_RETURN(Bytes sig, dec->GetFixed(t.signature.size()));
-  std::memcpy(t.signature.data(), sig.data(), t.signature.size());
+  PORYGON_ASSIGN_OR_RETURN(t.signature, dec->GetArray<64>());
   return t;
 }
 

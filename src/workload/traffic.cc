@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "workload/generator.h"
-
 namespace porygon::workload {
 
 namespace {
@@ -261,17 +259,8 @@ std::string Spec::ToString() const {
 
 std::unique_ptr<TrafficModel> Spec::BuildModel() const {
   switch (model) {
-    case Model::kUniform: {
-      WorkloadOptions opt;
-      opt.num_accounts = num_accounts;
-      opt.shard_bits = shard_bits;
-      opt.cross_shard_ratio = cross_shard_ratio;
-      opt.zipf_s = zipf_s;
-      opt.amount_min = amount_min;
-      opt.amount_max = amount_max;
-      opt.seed = seed;
-      return std::make_unique<WorkloadGenerator>(opt);
-    }
+    case Model::kUniform:
+      return std::make_unique<UniformTrafficModel>(*this);
     case Model::kZipf:
       return std::make_unique<ZipfTrafficModel>(*this);
     case Model::kFlashCrowd:
@@ -294,6 +283,59 @@ std::unique_ptr<ArrivalProcess> Spec::BuildArrival() const {
       return std::make_unique<FlashArrival>(at_s, dur_s, peak);
   }
   return std::make_unique<ConstantArrival>();
+}
+
+// --- UniformTrafficModel ---------------------------------------------------
+
+UniformTrafficModel::UniformTrafficModel(const Spec& spec)
+    : spec_(spec), rng_(spec.seed) {}
+
+state::AccountId UniformTrafficModel::PickSender() {
+  if (spec_.zipf_s > 0) {
+    return 1 + rng_.NextZipf(spec_.num_accounts, spec_.zipf_s);
+  }
+  return 1 + rng_.NextBelow(spec_.num_accounts);
+}
+
+state::AccountId UniformTrafficModel::PickReceiver(state::AccountId sender) {
+  const int bits = spec_.shard_bits;
+  if (spec_.cross_shard_ratio < 0 || bits == 0) {
+    // Natural: any other account.
+    for (int tries = 0; tries < 64; ++tries) {
+      state::AccountId r = 1 + rng_.NextBelow(spec_.num_accounts);
+      if (r != sender) return r;
+    }
+    return sender == 1 ? 2 : 1;
+  }
+  const bool want_cross = rng_.NextBernoulli(spec_.cross_shard_ratio);
+  const uint32_t sender_shard = state::ShardOfAccount(sender, bits);
+  for (int tries = 0; tries < 256; ++tries) {
+    state::AccountId r = 1 + rng_.NextBelow(spec_.num_accounts);
+    if (r == sender) continue;
+    bool cross = state::ShardOfAccount(r, bits) != sender_shard;
+    if (cross == want_cross) return r;
+  }
+  return sender == 1 ? 2 : 1;  // Degenerate account spaces.
+}
+
+tx::Transaction UniformTrafficModel::Next() {
+  tx::Transaction t;
+  t.from = PickSender();
+  t.to = PickReceiver(t.from);
+  t.amount = rng_.NextInRange(spec_.amount_min, spec_.amount_max);
+  t.nonce = nonces_[t.from]++;
+  return t;
+}
+
+std::string UniformTrafficModel::Describe() const {
+  std::string s = "{\"model\":\"uniform\",\"accounts\":" +
+                  FmtU(spec_.num_accounts);
+  if (spec_.cross_shard_ratio >= 0) {
+    s += ",\"cross\":" + FmtF(spec_.cross_shard_ratio);
+  }
+  if (spec_.zipf_s > 0) s += ",\"s\":" + FmtF(spec_.zipf_s);
+  s += ",\"seed\":" + FmtU(spec_.seed) + "}";
+  return s;
 }
 
 // --- ZipfTrafficModel ------------------------------------------------------

@@ -109,7 +109,7 @@ struct Spec {
   /// Parses a CLI spec of comma-separated clauses. The first kind of clause
   /// names the model (default `uniform`):
   ///
-  ///   uniform                     legacy uniform transfers (back-compat)
+  ///   uniform                     uniform transfers (UniformTrafficModel)
   ///   zipf[:<s>]                  Zipfian endpoint skew, exponent s (0.99)
   ///   flashcrowd[:<hot_size>]     rotating hot account sets
   ///   contract[:<keys>]           multi-key contract-like calls
@@ -142,6 +142,27 @@ struct Spec {
   std::unique_ptr<TrafficModel> BuildModel() const;
   /// Builds the arrival process (never null; constant by default).
   std::unique_ptr<ArrivalProcess> BuildArrival() const;
+};
+
+/// Uniform transfer workload, the paper's default traffic: senders uniform
+/// over the account space (Zipf-skewed when `zipf_s > 0`); receivers any
+/// other account, or drawn to hit `cross_shard_ratio` when it is set (>= 0)
+/// and the system is sharded. Account ids are 1..num_accounts — fund them
+/// via CreateAccounts (or lazily via CreateAccountsLazy) before running.
+class UniformTrafficModel : public TrafficModel {
+ public:
+  explicit UniformTrafficModel(const Spec& spec);
+
+  tx::Transaction Next() override;
+  std::string Describe() const override;
+
+ private:
+  state::AccountId PickSender();
+  state::AccountId PickReceiver(state::AccountId sender);
+
+  Spec spec_;
+  Rng rng_;
+  std::unordered_map<state::AccountId, uint64_t> nonces_;
 };
 
 /// Zipfian hot-account workload: both endpoints are drawn from a Zipf

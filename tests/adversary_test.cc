@@ -163,38 +163,31 @@ TEST(AdversarySpecTest, RejectsMalformedClauses) {
 TEST(AdversaryOptionsTest, ValidateEnforcesPaperBounds) {
   {
     SystemOptions opt = Opts();
-    opt.malicious_stateless_fraction = 0.3;
+    opt.adversary = MustParse("stateless:silent,alpha:0.3");
     Status st = opt.Validate();
     ASSERT_TRUE(st.IsInvalidArgument());
     EXPECT_NE(st.message().find("alpha"), std::string::npos) << st.message();
   }
   {
     SystemOptions opt = Opts();
-    opt.malicious_storage_fraction = 0.6;
+    opt.adversary = MustParse("storage:withhold,beta:0.6");
     Status st = opt.Validate();
     ASSERT_TRUE(st.IsInvalidArgument());
     EXPECT_NE(st.message().find("beta"), std::string::npos) << st.message();
   }
   {
-    // The spec path enforces the same bounds.
+    // Every strategy is held to the same bounds.
     SystemOptions opt = Opts();
-    opt.adversary = MustParse("stateless:silent,alpha:0.3");
+    opt.adversary = MustParse("stateless:equivocate,alpha:0.3");
     EXPECT_TRUE(opt.Validate().IsInvalidArgument());
     opt.adversary = MustParse("storage:censor,beta:0.6");
     EXPECT_TRUE(opt.Validate().IsInvalidArgument());
   }
   {
-    // Spec and legacy fractions are mutually exclusive.
-    SystemOptions opt = Opts();
-    opt.adversary = MustParse("stateless:silent,alpha:0.1");
-    opt.malicious_stateless_fraction = 0.1;
-    EXPECT_TRUE(opt.Validate().IsInvalidArgument());
-  }
-  {
     // The bounds themselves are admissible (α = 1/4, β = 1/2).
     SystemOptions opt = Opts();
-    opt.malicious_stateless_fraction = 0.25;
-    opt.malicious_storage_fraction = 0.5;
+    opt.adversary =
+        MustParse("stateless:silent,alpha:0.25,storage:withhold,beta:0.5");
     EXPECT_TRUE(opt.Validate().ok()) << opt.Validate().message();
     opt = Opts();
     opt.adversary =

@@ -10,7 +10,7 @@
 #include "baselines/blockene.h"
 #include "baselines/byshard.h"
 #include "simulation/model.h"
-#include "workload/generator.h"
+#include "workload/traffic.h"
 
 namespace porygon::baselines {
 namespace {
@@ -53,7 +53,7 @@ TEST(BlockeneTest, RoundsAreLongBecausePhasesSerialize) {
   opt.block_tx_limit = 2000;
   BlockeneSystem sys(opt);
   sys.CreateAccounts(3000, 1'000);
-  workload::WorkloadGenerator gen({.num_accounts = 3000, .shard_bits = 0});
+  workload::UniformTrafficModel gen({.num_accounts = 3000, .shard_bits = 0});
   for (const auto& t : gen.Batch(6000)) sys.SubmitTransaction(t);
   sys.Run(3);
   // Round >= reconfig (2s) + download + order + execute + commit phases.
@@ -77,7 +77,7 @@ TEST(BlockeneTest, ChurnCausesEmptyRounds) {
   opt.mean_session_s = 5.0;  // Much shorter than the 50-round tenure.
   BlockeneSystem sys(opt);
   sys.CreateAccounts(100, 1'000);
-  workload::WorkloadGenerator gen({.num_accounts = 100, .shard_bits = 0});
+  workload::UniformTrafficModel gen({.num_accounts = 100, .shard_bits = 0});
   for (const auto& t : gen.Batch(2000)) sys.SubmitTransaction(t);
   sys.Run(12);
   EXPECT_GT(sys.metrics().empty_rounds, 0u);
@@ -110,7 +110,7 @@ TEST(ByshardTest, BalanceConservedUnderMixedLoad) {
   opt.block_tx_limit = 200;
   ByshardSystem sys(opt);
   sys.CreateAccounts(100, 500);
-  workload::WorkloadGenerator gen(
+  workload::UniformTrafficModel gen(
       {.num_accounts = 100, .shard_bits = 2, .seed = 9});
   for (const auto& t : gen.Batch(300)) sys.SubmitTransaction(t);
   sys.Run(6);
@@ -131,7 +131,7 @@ TEST(ByshardTest, FullNodeStorageGrowsWithHeight) {
   opt.block_tx_limit = 500;
   ByshardSystem sys(opt);
   sys.CreateAccounts(2000, 1'000);
-  workload::WorkloadGenerator gen(
+  workload::UniformTrafficModel gen(
       {.num_accounts = 2000, .shard_bits = 1, .seed = 4});
   for (const auto& t : gen.Batch(3000)) sys.SubmitTransaction(t);
   sys.Run(3);
@@ -149,7 +149,7 @@ namespace porygon::workload {
 namespace {
 
 TEST(WorkloadTest, NoncesAreConsecutivePerSender) {
-  WorkloadGenerator gen({.num_accounts = 10, .shard_bits = 1, .seed = 2});
+  UniformTrafficModel gen({.num_accounts = 10, .shard_bits = 1, .seed = 2});
   std::map<uint64_t, uint64_t> next_nonce;
   for (const auto& t : gen.Batch(500)) {
     EXPECT_EQ(t.nonce, next_nonce[t.from]++);
@@ -160,13 +160,13 @@ TEST(WorkloadTest, NoncesAreConsecutivePerSender) {
 }
 
 TEST(WorkloadTest, CrossShardRatioIsRespected) {
-  WorkloadOptions opt;
+  Spec opt;
   opt.num_accounts = 10'000;
   opt.shard_bits = 2;
   opt.seed = 3;
   for (double ratio : {0.0, 0.3, 0.7, 1.0}) {
     opt.cross_shard_ratio = ratio;
-    WorkloadGenerator gen(opt);
+    UniformTrafficModel gen(opt);
     int cross = 0;
     const int n = 4000;
     for (const auto& t : gen.Batch(n)) {
@@ -177,11 +177,11 @@ TEST(WorkloadTest, CrossShardRatioIsRespected) {
 }
 
 TEST(WorkloadTest, ZipfSkewsSenders) {
-  WorkloadOptions opt;
+  Spec opt;
   opt.num_accounts = 1000;
   opt.zipf_s = 1.1;
   opt.seed = 5;
-  WorkloadGenerator gen(opt);
+  UniformTrafficModel gen(opt);
   std::map<uint64_t, int> counts;
   for (const auto& t : gen.Batch(5000)) counts[t.from]++;
   // The most popular sender appears far more often than the mean (5).

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "core/messages.h"
 #include "crypto/provider.h"
@@ -14,6 +15,20 @@ crypto::Hash256 H(uint8_t tag) {
   crypto::Hash256 h{};
   h[0] = tag;
   return h;
+}
+
+// True when `decode` rejects `valid`, cut at the list count starting at byte
+// `at` and followed by a forged 2^40 count plus padding, through the count
+// bound rather than a truncation: what a Byzantine peer sends to make a
+// decoder size a huge allocation.
+template <typename DecodeFn>
+bool RejectsForgedCount(DecodeFn decode, const Bytes& valid, size_t at) {
+  Encoder forged;
+  forged.PutFixed(ByteView(valid.data(), at));
+  forged.PutVarint(uint64_t{1} << 40);
+  forged.PutFixed(Bytes(16, 0));
+  const Status s = decode(forged.buffer()).status();
+  return s.IsCorruption() && s.message() == "element count exceeds input";
 }
 
 TEST(MessagesTest, RoleAnnounceRoundTrip) {
@@ -191,6 +206,54 @@ TEST(MessagesTest, CorruptInputsRejected) {
   EXPECT_FALSE(ExecRequest::Decode(ToBytes("")).ok());
   EXPECT_FALSE(ExecResultMsg::Decode(ToBytes("??")).ok());
   EXPECT_FALSE(Relay::Decode(ToBytes("")).ok());
+
+  // Oversized wire counts: each must be Corruption, not an allocation.
+  // Offsets follow the layouts in messages.cc: u64 = 8 bytes, u32 = 4, a
+  // header blob = 53, a hash = 32, an empty list = its 1-byte count.
+  const Bytes req = ExecRequest{}.Encode();
+  for (size_t at : {12, 13, 14, 47, 48}) {  // block_ids ... members.
+    EXPECT_TRUE(RejectsForgedCount(ExecRequest::Decode, req, at)) << at;
+  }
+  const Bytes block = WitnessedBlock{}.Encode();
+  for (size_t at : {53, 54}) {  // proofs, accesses.
+    EXPECT_TRUE(RejectsForgedCount(WitnessedBlock::Decode, block, at)) << at;
+  }
+  EXPECT_TRUE(RejectsForgedCount(WitnessBundle::Decode,
+                                 WitnessBundle{}.Encode(), 8));
+  EXPECT_TRUE(RejectsForgedCount(AggregatedWitness::Decode,
+                                 AggregatedWitness{}.Encode(), 16));
+  EXPECT_TRUE(RejectsForgedCount(BodyChunk::Decode, BodyChunk{}.Encode(), 71));
+  ExecResultMsg full_result;
+  full_result.full = true;
+  EXPECT_TRUE(
+      RejectsForgedCount(ExecResultMsg::Decode, full_result.Encode(), 77));
+  AggregatedExecResult with_payload;
+  with_payload.has_payload = true;
+  const Bytes agg = with_payload.Encode();
+  for (size_t at : {85, 90}) {  // s_set, signers.
+    EXPECT_TRUE(RejectsForgedCount(AggregatedExecResult::Decode, agg, at))
+        << at;
+  }
+  EXPECT_TRUE(RejectsForgedCount(CompactVoteCert::Decode,
+                                 CompactVoteCert{}.Encode(), 53));
+  EXPECT_TRUE(RejectsForgedCount(StateRequest::Decode,
+                                 StateRequest{}.Encode(), 12));
+  const Bytes resp = StateResponse{}.Encode();
+  for (size_t at : {12, 21}) {  // entries, proofs.
+    EXPECT_TRUE(RejectsForgedCount(StateResponse::Decode, resp, at)) << at;
+  }
+
+  // DecisionCert's vote count is a u32: one past its 4096 cap, and one
+  // under the cap that the input cannot hold.
+  for (uint32_t votes : {4097u, 4096u}) {
+    Encoder cert;
+    cert.PutU64(1);
+    cert.PutArray(H(1));
+    cert.PutU32(votes);
+    cert.PutFixed(Bytes(16, 0));
+    const Status st = consensus::DecisionCert::Decode(cert.buffer()).status();
+    EXPECT_TRUE(st.IsCorruption() && st.message() == "oversized cert");
+  }
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 #include "net/event_queue.h"
 #include "net/network.h"
 #include "obs/critical_path.h"
-#include "workload/generator.h"
+#include "workload/traffic.h"
 
 namespace porygon {
 namespace {
@@ -289,10 +289,10 @@ core::SystemOptions FanInOpts() {
 void RunFanIn(core::PorygonSystem* sys) {
   const uint64_t accounts = 100'000;
   sys->CreateAccountsLazy(accounts, 1'000'000);
-  workload::WorkloadGenerator gen({.num_accounts = accounts,
-                                   .shard_bits = 5,
-                                   .cross_shard_ratio = 0.1,
-                                   .seed = 7});
+  workload::UniformTrafficModel gen({.num_accounts = accounts,
+                                     .shard_bits = 5,
+                                     .cross_shard_ratio = 0.1,
+                                     .seed = 7});
   const size_t per_round = 2 * 200 * (1u << 5);
   for (int r = 0; r < 10; ++r) {
     sys->SubmitBatch(gen.Batch(per_round));

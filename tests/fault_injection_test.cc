@@ -9,7 +9,7 @@
 #include "core/system.h"
 #include "net/fault.h"
 #include "net/network.h"
-#include "workload/generator.h"
+#include "workload/traffic.h"
 #include "workload/soak.h"
 
 namespace porygon::core {
@@ -76,7 +76,8 @@ TEST(FaultInjectionTest, WitnessPhaseBlocksUnavailableBodies) {
   // transactions never commit; blocks from the honest node still flow,
   // and nothing *incorrect* commits.
   SystemOptions opt = Opts();
-  opt.malicious_storage_fraction = 0.5;
+  opt.adversary = AdversarySpec::Parse("storage:withhold,beta:0.5").value();
+  opt.adversary.seed = opt.seed;
   PorygonSystem sys(opt);
   sys.CreateAccounts(100, 10'000);
   for (uint64_t f = 1; f <= 20; ++f) {
@@ -109,7 +110,7 @@ TEST(FaultInjectionTest, DropFilterCensorshipDegradesButDoesNotCorrupt) {
   sys.network()->SetDropFilter([&drop_rng](const net::Message& m) {
     return m.kind == kMsgWitnessUpload && drop_rng.NextBernoulli(0.2);
   });
-  workload::WorkloadGenerator gen(
+  workload::UniformTrafficModel gen(
       {.num_accounts = 10'000, .shard_bits = 1, .seed = 17});
   for (int r = 0; r < 12; ++r) {
     for (const auto& t : gen.Batch(150)) sys.SubmitTransaction(t);

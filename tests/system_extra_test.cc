@@ -7,7 +7,7 @@
 #include "baselines/blockene.h"
 #include "core/system.h"
 #include "simulation/model.h"
-#include "workload/generator.h"
+#include "workload/traffic.h"
 
 namespace porygon::core {
 namespace {
@@ -27,7 +27,7 @@ SystemOptions BaseOptions() {
   return opt;
 }
 
-void SubmitUniform(PorygonSystem* sys, workload::WorkloadGenerator* gen,
+void SubmitUniform(PorygonSystem* sys, workload::UniformTrafficModel* gen,
                    size_t n) {
   for (const auto& t : gen->Batch(n)) sys->SubmitTransaction(t);
 }
@@ -38,7 +38,7 @@ TEST(SystemChurnTest, SurvivesShortSessions) {
   opt.mean_session_s = 20.0;  // Much shorter than the run.
   PorygonSystem sys(opt);
   sys.CreateAccounts(10'000, 100'000);
-  workload::WorkloadGenerator gen(
+  workload::UniformTrafficModel gen(
       {.num_accounts = 10'000, .shard_bits = 1, .seed = 3});
   for (int r = 0; r < 12; ++r) {
     SubmitUniform(&sys, &gen, 200);
@@ -54,7 +54,7 @@ TEST(SystemChurnTest, SurvivesShortSessions) {
 TEST(SystemTest, PhaseTrafficAccountingCoversAllPhases) {
   PorygonSystem sys(BaseOptions());
   sys.CreateAccounts(10'000, 100'000);
-  workload::WorkloadGenerator gen(
+  workload::UniformTrafficModel gen(
       {.num_accounts = 10'000, .shard_bits = 1, .seed = 2});
   for (int r = 0; r < 10; ++r) {
     SubmitUniform(&sys, &gen, 150);
@@ -74,11 +74,14 @@ TEST(SystemTest, MaliciousStorageAndStatelessCombined) {
   SystemOptions opt = BaseOptions();
   opt.num_storage_nodes = 4;
   opt.num_stateless_nodes = 40;
-  opt.malicious_storage_fraction = 0.25;    // 1 of 4 withholds bodies.
-  opt.malicious_stateless_fraction = 0.15;  // Silent minority.
+  // 1 of 4 storage nodes withholds bodies; a silent stateless minority.
+  opt.adversary = AdversarySpec::Parse(
+                      "stateless:silent,alpha:0.15,storage:withhold,beta:0.25")
+                      .value();
+  opt.adversary.seed = opt.seed;
   PorygonSystem sys(opt);
   sys.CreateAccounts(10'000, 100'000);
-  workload::WorkloadGenerator gen(
+  workload::UniformTrafficModel gen(
       {.num_accounts = 10'000, .shard_bits = 1, .seed = 11});
   for (int r = 0; r < 12; ++r) {
     SubmitUniform(&sys, &gen, 200);
@@ -106,7 +109,7 @@ TEST(SystemTest, ChainExtendsByHashLinks) {
 TEST(SystemTest, CommittedStateRootMatchesAggregatedShardRoots) {
   PorygonSystem sys(BaseOptions());
   sys.CreateAccounts(1'000, 10'000);
-  workload::WorkloadGenerator gen(
+  workload::UniformTrafficModel gen(
       {.num_accounts = 1'000, .shard_bits = 1, .seed = 13});
   for (int r = 0; r < 8; ++r) {
     SubmitUniform(&sys, &gen, 100);

@@ -206,7 +206,9 @@ TEST(SystemIntegrationTest, MaliciousStorageCannotStallHonestBlocks) {
   // witnessed, but blocks from honest storage nodes commit (Theorem 2).
   SystemOptions opt = SmallOptions();
   opt.num_storage_nodes = 3;
-  opt.malicious_storage_fraction = 0.34;  // 1 of 3.
+  opt.adversary =  // 1 of 3.
+      AdversarySpec::Parse("storage:withhold,beta:0.34").value();
+  opt.adversary.seed = opt.seed;
   PorygonSystem sys(opt);
   sys.CreateAccounts(40, 10'000);
   for (uint64_t from = 1; from <= 20; ++from) {
@@ -222,7 +224,8 @@ TEST(SystemIntegrationTest, MaliciousStorageCannotStallHonestBlocks) {
 TEST(SystemIntegrationTest, ToleratesSilentStatelessMinority) {
   SystemOptions opt = SmallOptions();
   opt.num_stateless_nodes = 24;
-  opt.malicious_stateless_fraction = 0.2;
+  opt.adversary = AdversarySpec::Parse("stateless:silent,alpha:0.2").value();
+  opt.adversary.seed = opt.seed;
   PorygonSystem sys(opt);
   sys.CreateAccounts(40, 10'000);
   for (uint64_t from = 1; from <= 16; ++from) {
@@ -289,7 +292,7 @@ TEST(SystemIntegrationTest, OptionsValidateCatchesBadConfigs) {
   EXPECT_TRUE(opt.Validate().IsInvalidArgument());
 
   opt = SmallOptions();
-  opt.malicious_stateless_fraction = 1.5;
+  opt.adversary.alpha = 1.5;
   EXPECT_TRUE(opt.Validate().IsInvalidArgument());
 
   opt = SmallOptions();

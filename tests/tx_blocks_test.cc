@@ -97,6 +97,26 @@ TEST(ProposalBlockTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->ordering_threshold, 0.1);
 }
 
+TEST(ProposalBlockTest, OversizedCountsAreCorruption) {
+  // A forged 2^40 count at each list of a block with one empty shard (at
+  // byte 80, after height, prev_hash, round and leader): shards, L[0],
+  // update shards, U[0], discarded, shard roots. Each must hit the count
+  // bound before it sizes an allocation.
+  ProposalBlock b;
+  b.shard_tx_blocks = {{}};
+  b.shard_updates = {{}};
+  const Bytes valid = b.Encode();
+  for (size_t at = 80; at <= 85; ++at) {
+    Encoder forged;
+    forged.PutFixed(ByteView(valid.data(), at));
+    forged.PutVarint(uint64_t{1} << 40);
+    forged.PutFixed(Bytes(16, 0));
+    const Status s = ProposalBlock::Decode(forged.buffer()).status();
+    EXPECT_TRUE(s.IsCorruption()) << at;
+    EXPECT_EQ(s.message(), "element count exceeds input") << at;
+  }
+}
+
 TEST(ProposalBlockTest, HashChangesWithContent) {
   ProposalBlock a;
   a.height = 1;
