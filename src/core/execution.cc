@@ -1,6 +1,7 @@
 #include "core/execution.h"
 
 #include <map>
+#include <set>
 
 namespace porygon::core {
 
@@ -9,6 +10,30 @@ using state::AccountId;
 using state::ShardedState;
 using tx::StateUpdate;
 using tx::Transaction;
+
+ExecutionInput BuildExecutionInput(uint32_t shard, int shard_bits,
+                                   const std::vector<tx::BlockId>& block_ids,
+                                   const std::vector<tx::TxId>& discarded,
+                                   std::vector<StateUpdate> updates,
+                                   const ListedTxs& txs_of) {
+  ExecutionInput input;
+  input.shard = shard;
+  input.updates = std::move(updates);
+  const std::set<tx::TxId> dropped(discarded.begin(), discarded.end());
+  for (const tx::BlockId& id : block_ids) {
+    const std::vector<Transaction>* txs = txs_of(id);
+    if (txs == nullptr) continue;
+    for (const Transaction& t : *txs) {
+      if (dropped.count(t.Id()) > 0) continue;
+      if (t.IsCrossShard(shard_bits)) {
+        input.cross_shard.push_back(t);
+      } else {
+        input.intra_shard.push_back(t);
+      }
+    }
+  }
+  return input;
+}
 
 bool ShardExecutor::IsValidTransfer(const Account& sender,
                                     const Transaction& t) {

@@ -2,6 +2,7 @@
 #define PORYGON_CORE_EXECUTION_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "crypto/sha256.h"
@@ -35,6 +36,21 @@ struct ExecutionInput {
   std::vector<tx::Transaction> cross_shard;
   std::vector<tx::StateUpdate> updates;
 };
+
+/// A listed block's transactions, or nullptr when the caller does not hold
+/// the block (it is then skipped).
+using ListedTxs =
+    std::function<const std::vector<tx::Transaction>*(const tx::BlockId&)>;
+
+/// Assembles one shard's ExecutionInput from its listing: the transactions
+/// of `block_ids` minus the conflict-`discarded` ones, split into
+/// cross-shard (pre-executed) and intra-shard, plus the OC's update list.
+/// The storage-side replay and executing ESC members build it the same way.
+ExecutionInput BuildExecutionInput(uint32_t shard, int shard_bits,
+                                   const std::vector<tx::BlockId>& block_ids,
+                                   const std::vector<tx::TxId>& discarded,
+                                   std::vector<tx::StateUpdate> updates,
+                                   const ListedTxs& txs_of);
 
 /// Outputs returned to the OC: the new subtree root T', the updated
 /// key-value pairs S from cross-shard pre-execution (not yet applied to any

@@ -12,6 +12,13 @@ constexpr size_t kAccessWireSize = 32 + 5 * 8;
 constexpr size_t kEntryWireSize = 8 + 1 + 8 + 8;
 }  // namespace
 
+Bytes WitnessSigningBytes(const tx::TransactionBlockHeader& header) {
+  Bytes out = ToBytes("porygon.witness");
+  Bytes enc = header.Encode();
+  out.insert(out.end(), enc.begin(), enc.end());
+  return out;
+}
+
 int PhaseOfKind(uint16_t kind) {
   switch (kind) {
     case kMsgTxBlock:

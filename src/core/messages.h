@@ -17,6 +17,15 @@
 
 namespace porygon::core {
 
+/// Map key of a block or transaction id: its raw bytes.
+inline std::string IdKey(const crypto::Hash256& h) {
+  return std::string(reinterpret_cast<const char*>(h.data()), h.size());
+}
+
+/// What a witness signs for a transaction block: a domain tag followed by
+/// the encoded header.
+Bytes WitnessSigningBytes(const tx::TransactionBlockHeader& header);
+
 /// Protocol message kinds. Values double as traffic-accounting buckets
 /// (Fig 9b groups them into phases).
 enum MsgKind : uint16_t {

@@ -10,15 +10,24 @@
 namespace porygon::core {
 
 namespace {
-std::string IdKey(const crypto::Hash256& h) {
-  return std::string(reinterpret_cast<const char*>(h.data()), h.size());
-}
-
-Bytes WitnessSigningBytes(const tx::TransactionBlockHeader& header) {
-  Bytes out = ToBytes("porygon.witness");
-  Bytes enc = header.Encode();
-  out.insert(out.end(), enc.begin(), enc.end());
-  return out;
+// Merges `block` into `merged` (keyed by block id): an unknown block is
+// taken whole, a known one gains the witness proofs it lacked (cross-batch
+// witnesses may arrive via different storage nodes and relays).
+void MergeWitnessed(std::map<std::string, WitnessedBlock>* merged,
+                    WitnessedBlock block) {
+  std::string key = IdKey(block.header.Id());
+  auto it = merged->find(key);
+  if (it == merged->end()) {
+    merged->emplace(std::move(key), std::move(block));
+    return;
+  }
+  std::set<crypto::PublicKey> seen;
+  for (const auto& p : it->second.proofs) seen.insert(p.witness);
+  for (auto& p : block.proofs) {
+    if (seen.insert(p.witness).second) {
+      it->second.proofs.push_back(std::move(p));
+    }
+  }
 }
 
 tx::Transaction FromAccess(const TxAccess& a) {
@@ -905,23 +914,13 @@ void StatelessNodeActor::RunExecution() {
       }
     }
 
-    ExecutionInput input;
-    input.shard = req.shard;
-    input.updates = req.updates;
-    std::set<std::string> discarded;
-    for (const auto& id : req.discarded) discarded.insert(IdKey(id));
-    for (const auto& id : req.block_ids) {
-      auto held = held_blocks_.find(IdKey(id));
-      if (held == held_blocks_.end()) continue;
-      for (const auto& t : held->second.txs) {
-        if (discarded.count(IdKey(t.Id())) > 0) continue;
-        if (t.IsCrossShard(system_->params().shard_bits)) {
-          input.cross_shard.push_back(t);
-        } else {
-          input.intra_shard.push_back(t);
-        }
-      }
-    }
+    const ExecutionInput input = BuildExecutionInput(
+        req.shard, system_->params().shard_bits, req.block_ids,
+        req.discarded, req.updates,
+        [this](const tx::BlockId& id) -> const std::vector<tx::Transaction>* {
+          auto held = held_blocks_.find(IdKey(id));
+          return held == held_blocks_.end() ? nullptr : &held->second.txs;
+        });
     ExecutionResult r = ShardExecutor::Execute(&partial, input);
     result.new_root = r.shard_root;
     result.s_set = r.cross_updates;
@@ -1039,19 +1038,7 @@ void StatelessNodeActor::OnWitnessBundle(const net::Message& msg) {
       system_->obs_.rejected_bad_shard->Increment();
       continue;  // Out-of-range shard would index OOB downstream.
     }
-    std::string key = IdKey(block.header.Id());
-    auto it = merged.find(key);
-    if (it == merged.end()) {
-      merged[key] = std::move(block);
-    } else {
-      // Union the proofs (cross-batch witnesses may arrive via different
-      // storage nodes).
-      std::set<crypto::PublicKey> seen;
-      for (const auto& p : it->second.proofs) seen.insert(p.witness);
-      for (const auto& p : block.proofs) {
-        if (seen.insert(p.witness).second) it->second.proofs.push_back(p);
-      }
-    }
+    MergeWitnessed(&merged, std::move(block));
   }
   // The leader proposes as soon as last round's witnessed blocks are in
   // hand (its primary ships the converged set once per round).
@@ -1094,19 +1081,7 @@ void StatelessNodeActor::OnAggWitness(const net::Message& msg) {
         system_->obs_.rejected_bad_shard->Increment();
         continue;  // A relay must not smuggle foreign-shard blocks.
       }
-      std::string id = IdKey(block.header.Id());
-      auto it = merged.find(id);
-      if (it == merged.end()) {
-        merged[id] = std::move(block);
-      } else {
-        std::set<crypto::PublicKey> witnesses;
-        for (const auto& p : it->second.proofs) witnesses.insert(p.witness);
-        for (const auto& p : block.proofs) {
-          if (witnesses.insert(p.witness).second) {
-            it->second.proofs.push_back(p);
-          }
-        }
-      }
+      MergeWitnessed(&merged, std::move(block));
     }
     // Per-shard aggregates arrive independently; propose once every shard
     // reported. (The round-start fallback deadline covers missing shards.)
@@ -1139,19 +1114,7 @@ void StatelessNodeActor::OnAggWitness(const net::Message& msg) {
       system_->obs_.rejected_bad_shard->Increment();
       continue;
     }
-    std::string id = IdKey(block.header.Id());
-    auto it = wa.blocks.find(id);
-    if (it == wa.blocks.end()) {
-      wa.blocks[id] = std::move(block);
-    } else {
-      std::set<crypto::PublicKey> witnesses;
-      for (const auto& p : it->second.proofs) witnesses.insert(p.witness);
-      for (const auto& p : block.proofs) {
-        if (witnesses.insert(p.witness).second) {
-          it->second.proofs.push_back(p);
-        }
-      }
-    }
+    MergeWitnessed(&wa.blocks, std::move(block));
   }
   if (!wa.deadline_armed) {
     wa.deadline_armed = true;

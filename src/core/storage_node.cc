@@ -10,15 +10,19 @@
 namespace porygon::core {
 
 namespace {
-std::string IdKey(const crypto::Hash256& h) {
-  return std::string(reinterpret_cast<const char*>(h.data()), h.size());
-}
-
-Bytes WitnessSigningBytes(const tx::TransactionBlockHeader& header) {
-  Bytes out = ToBytes("porygon.witness");
-  Bytes enc = header.Encode();
-  out.insert(out.end(), enc.begin(), enc.end());
-  return out;
+// The OC-bound form of a stored block: header, the witness proofs gathered
+// so far, and each transaction's access list.
+WitnessedBlock ToWitnessed(
+    const tx::TransactionBlock& block,
+    const std::map<crypto::PublicKey, tx::WitnessProof>& proofs) {
+  WitnessedBlock wb;
+  wb.header = block.header;
+  for (const auto& [pk, proof] : proofs) wb.proofs.push_back(proof);
+  for (const auto& t : block.transactions) {
+    wb.accesses.push_back(
+        TxAccess{t.Id(), t.from, t.to, t.amount, t.nonce, t.submitted_at});
+  }
+  return wb;
 }
 }  // namespace
 
@@ -375,16 +379,8 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
             wstate == witness_state_.end()) {
           continue;
         }
-        WitnessedBlock wb;
-        wb.header = stored->second.block.header;
-        for (const auto& [pk, proof] : wstate->second.proofs) {
-          wb.proofs.push_back(proof);
-        }
-        for (const auto& t : stored->second.block.transactions) {
-          wb.accesses.push_back(TxAccess{t.Id(), t.from, t.to, t.amount,
-                                         t.nonce, t.submitted_at});
-        }
-        bundle.blocks.push_back(std::move(wb));
+        bundle.blocks.push_back(
+            ToWitnessed(stored->second.block, wstate->second.proofs));
       }
     }
     // Orphan recovery: our packaged blocks that reached Tw in an earlier
@@ -403,16 +399,8 @@ void StorageNodeActor::DistributeRoundWork(uint64_t round) {
               static_cast<size_t>(p.witness_threshold)) {
         continue;
       }
-      WitnessedBlock wb;
-      wb.header = stored->second.block.header;
-      for (const auto& [pk, proof] : wstate->second.proofs) {
-        wb.proofs.push_back(proof);
-      }
-      for (const auto& t : stored->second.block.transactions) {
-        wb.accesses.push_back(TxAccess{t.Id(), t.from, t.to, t.amount,
-                                       t.nonce, t.submitted_at});
-      }
-      bundle.blocks.push_back(std::move(wb));
+      bundle.blocks.push_back(
+          ToWitnessed(stored->second.block, wstate->second.proofs));
       last_push = round - 1;  // Joins batch round-1's listing window.
     }
     // Tree mode: hand the bundle to per-shard aggregation relays instead

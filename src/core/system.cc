@@ -13,10 +13,6 @@
 namespace porygon::core {
 
 namespace {
-std::string IdKey(const crypto::Hash256& h) {
-  return std::string(reinterpret_cast<const char*>(h.data()), h.size());
-}
-
 /// Read-only snapshot wrapper: own-shard reads/writes hit the live state,
 /// foreign reads come from a pre-captured snapshot so every shard's
 /// cross-shard pre-execution observes the same pre-round values (each real
@@ -461,9 +457,6 @@ PorygonSystem::PorygonSystem(const SystemOptions& options)
 }
 
 PorygonSystem::~PorygonSystem() {
-  // Executions still in flight at teardown never completed; do not record
-  // their partial durations.
-  for (auto& [round, timer] : exec_timers_) timer.Cancel();
   // The log clock captures this system's event queue; detach before it dies.
   Logger::SetClock(nullptr);
 }
@@ -622,32 +615,6 @@ const PorygonSystem::RoundRegistry* PorygonSystem::RegistryFor(
   return it == registry_.end() ? nullptr : &it->second;
 }
 
-ExecutionInput PorygonSystem::BuildExecutionInput(
-    const tx::ProposalBlock& based_on, uint32_t shard) const {
-  ExecutionInput input;
-  input.shard = shard;
-  if (shard < based_on.shard_updates.size()) {
-    input.updates = based_on.shard_updates[shard];
-  }
-  std::set<std::string> discarded;
-  for (const auto& id : based_on.discarded) discarded.insert(IdKey(id));
-  if (shard < based_on.shard_tx_blocks.size()) {
-    for (const auto& id : based_on.shard_tx_blocks[shard]) {
-      auto stored = block_store_.find(IdKey(id));
-      if (stored == block_store_.end()) continue;
-      for (const auto& t : stored->second.block.transactions) {
-        if (discarded.count(IdKey(t.Id())) > 0) continue;
-        if (t.IsCrossShard(options_.params.shard_bits)) {
-          input.cross_shard.push_back(t);
-        } else {
-          input.intra_shard.push_back(t);
-        }
-      }
-    }
-  }
-  return input;
-}
-
 void PorygonSystem::AdvanceExecState(uint64_t exec_round) {
   // Applies the inputs of proposal block B_{exec_round} to the canonical
   // state, recording per-shard results. This equals what every honest ESC
@@ -661,8 +628,22 @@ void PorygonSystem::AdvanceExecState(uint64_t exec_round) {
   // shards observe the same snapshot.
   std::vector<ExecutionInput> inputs;
   std::unordered_map<state::AccountId, state::Account> snapshot;
+  const ListedTxs stored_txs =
+      [this](const tx::BlockId& id) -> const std::vector<tx::Transaction>* {
+    auto stored = block_store_.find(IdKey(id));
+    return stored == block_store_.end() ? nullptr
+                                        : &stored->second.block.transactions;
+  };
   for (int d = 0; d < shards; ++d) {
-    inputs.push_back(BuildExecutionInput(basis, d));
+    const size_t i = static_cast<size_t>(d);
+    inputs.push_back(BuildExecutionInput(
+        d, options_.params.shard_bits,
+        i < basis.shard_tx_blocks.size() ? basis.shard_tx_blocks[i]
+                                         : std::vector<tx::BlockId>{},
+        basis.discarded,
+        i < basis.shard_updates.size() ? basis.shard_updates[i]
+                                       : std::vector<tx::StateUpdate>{},
+        stored_txs));
     for (const auto& t : inputs.back().cross_shard) {
       snapshot[t.from] = exec_state_->GetOrDefault(t.from);
       snapshot[t.to] = exec_state_->GetOrDefault(t.to);
@@ -850,26 +831,28 @@ void PorygonSystem::ReconfigureEpoch(uint64_t round) {
 }
 
 void PorygonSystem::StartRound(uint64_t round) {
-  round_start_times_[round] = events_.now();
-  critical_path_.BeginRound(round, events_.now());
-  // Snapshot the bandwidth ledger so the commit can difference the window,
+  RoundRecord& rec = rounds_[round];
+  rec.start = events_.now();
+  rec.witness_end = 0;
+  rec.decision = 0;
+  // Snapshot the bandwidth ledger so the commit can difference the window
+  // (a committed round never commits again, so its restart takes none),
   // and re-base the windowed high-watermarks (event-queue depth, per-role
   // in-flight) to this round.
-  {
-    std::vector<net::LinkActivity> baseline(network_->node_count());
+  if (!rec.commit) {
+    rec.baseline.resize(network_->node_count());
     for (net::NodeId n = 0; n < network_->node_count(); ++n) {
-      baseline[n] = network_->ActivityFor(n);
+      rec.baseline[n] = network_->ActivityFor(n);
     }
-    window_baseline_[round] = std::move(baseline);
   }
   events_.ResetDepthHighWatermark();
   network_->ResetInflightHighWatermarks();
   if (tracer_.enabled()) {
     // Open this round's lane: a "round" span covering start -> commit, with
     // the witness phase as its first child (closed by RecordWitnessReached).
-    obs::TraceContext lane = tracer_.RoundContext(round);
-    round_spans_[round] = tracer_.BeginSpan(lane, "round", "system");
-    witness_spans_[round] =
+    rec.round_span =
+        tracer_.BeginSpan(tracer_.RoundContext(round), "round", "system");
+    rec.witness_span =
         tracer_.BeginSpan(RoundLane(round), "witness", "system");
   }
   // Epoch boundary: re-draw the committee before any of this round's work
@@ -926,8 +909,9 @@ void PorygonSystem::StartRound(uint64_t round) {
 
 void PorygonSystem::OnBlockCommitted(const tx::ProposalBlock& block,
                                      net::SimTime when) {
-  if (commit_times_.count(block.round) > 0) return;  // First receipt wins.
-  commit_times_[block.round] = when;
+  RoundRecord& rec = rounds_[block.round];
+  if (rec.commit) return;  // First receipt wins.
+  rec.commit = when;
   if (chain_.size() != block.round) {
     // Out-of-order commit (should not happen with a single leader).
     PORYGON_LOG(kWarn) << "out-of-order commit of round " << block.round;
@@ -943,36 +927,48 @@ void PorygonSystem::OnBlockCommitted(const tx::ProposalBlock& block,
   }
   if (empty) obs_.empty_rounds->Increment();
 
-  if (block.round >= 1 && commit_times_.count(block.round - 1) > 0) {
-    obs_.block_latency->Observe(
-        net::ToSeconds(when - commit_times_[block.round - 1]));
+  if (auto prev = rounds_.find(block.round - 1);
+      block.round >= 1 && prev != rounds_.end() && prev->second.commit) {
+    obs_.block_latency->Observe(net::ToSeconds(when - *prev->second.commit));
   }
   obs_.discarded_txs->Add(block.discarded.size());
 
   // Commit phase: the leader's ordering decision to the block landing back
   // at storage.
-  auto decided = decision_times_.find(block.round);
-  if (decided != decision_times_.end()) {
-    obs_.phase_commit->Observe(net::ToSeconds(when - decided->second));
+  if (rec.decision_pending != 0) {
+    obs_.phase_commit->Observe(net::ToSeconds(when - rec.decision_pending));
     if (tracer_.enabled()) {
       tracer_.RecordSpan(RoundLane(block.round), "commit", "system",
-                         decided->second, when);
+                         rec.decision_pending, when);
     }
-    decision_times_.erase(decided);
+    rec.decision_pending = 0;
   }
   // Close this round's lane.
-  if (auto rs = round_spans_.find(block.round); rs != round_spans_.end()) {
-    tracer_.EndSpan(rs->second);
-    round_spans_.erase(rs);
-  }
+  tracer_.EndSpan(rec.round_span);
+  rec.round_span = 0;
 
   // Critical-path decomposition: difference the ledger against the
   // round-start snapshot, attribute the window, publish utilizations.
-  if (auto base = window_baseline_.find(block.round);
-      base != window_baseline_.end()) {
+  if (rec.start) {
+    std::vector<obs::ExecInterval> exec;
+    for (auto it = rounds_.lower_bound(exec_floor_); it != rounds_.end();
+         ++it) {
+      if (it->second.exec.start != 0) exec.push_back(it->second.exec);
+    }
     const obs::RoundReport* report = critical_path_.CommitRound(
-        block.round, when, LinkWindowsSince(base->second));
-    window_baseline_.erase(base);
+        {block.round, *rec.start, rec.witness_end, rec.decision, when}, exec,
+        LinkWindowsSince(rec.baseline));
+    rec.baseline = {};
+    // Bound memory: closed intervals older than the metric lookback drop
+    // out, oldest first; an open interval is never pruned and holds the
+    // floor.
+    for (auto it = rounds_.lower_bound(exec_floor_);
+         it != rounds_.end() && it->first + 8 < block.round; ++it) {
+      obs::ExecInterval& iv = it->second.exec;
+      if (iv.start != 0 && iv.end == 0) break;
+      iv = {};
+      exec_floor_ = it->first + 1;
+    }
     if (report != nullptr) {
       for (size_t i = 0; i < report->links.size(); ++i) {
         const uint32_t util_pm = report->link_util_pm[i];
@@ -983,11 +979,6 @@ void PorygonSystem::OnBlockCommitted(const tx::ProposalBlock& block,
         }
       }
     }
-  }
-  // Bound memory: drop snapshots of rounds that will never commit in order.
-  while (!window_baseline_.empty() &&
-         window_baseline_.begin()->first + 8 < block.round) {
-    window_baseline_.erase(window_baseline_.begin());
   }
 
   // Replay verification: committed roots must match the canonical replay
@@ -1084,10 +1075,11 @@ void PorygonSystem::AccountCommittedBatch(const tx::ProposalBlock& block) {
           obs_.user_latency->Observe(
               now_s - net::ToSeconds(static_cast<net::SimTime>(
                           t.submitted_at)));
-          auto ws = round_start_times_.find(
-              stored->second.block.header.round_created);
-          if (ws != round_start_times_.end()) {
-            obs_.commit_latency->Observe(now_s - net::ToSeconds(ws->second));
+          auto created =
+              rounds_.find(stored->second.block.header.round_created);
+          if (created != rounds_.end() && created->second.start) {
+            obs_.commit_latency->Observe(
+                now_s - net::ToSeconds(*created->second.start));
           }
         }
       }
@@ -1119,7 +1111,7 @@ void PorygonSystem::Run(int rounds, net::SimTime max_sim_time) {
     genesis_.ordering_threshold = options_.params.ordering_fraction;
     genesis_.execution_threshold = options_.params.execution_fraction;
     chain_.push_back(genesis_);
-    commit_times_[0] = events_.now();
+    rounds_[0].commit = events_.now();
     round_scheduled_ = true;
     events_.ScheduleAfter(options_.params.reconfig_interval_us, [this] {
       round_scheduled_ = false;
@@ -1246,69 +1238,69 @@ obs::Gauge* PorygonSystem::UtilGauge(const std::string& link) {
 void PorygonSystem::RecordWitnessReached(uint64_t batch_round) {
   // One sample per batch round: the first block of the batch to cross Tw
   // marks the end of the witness phase for that round.
-  if (!witness_recorded_.insert(batch_round).second) return;
-  critical_path_.MarkWitnessEnd(batch_round, events_.now());
-  if (auto ws = witness_spans_.find(batch_round); ws != witness_spans_.end()) {
-    tracer_.EndSpan(ws->second);
-    witness_spans_.erase(ws);
-  }
-  auto started = round_start_times_.find(batch_round);
-  if (started == round_start_times_.end()) return;
-  obs_.phase_witness->Observe(
-      net::ToSeconds(events_.now() - started->second));
-  // Bound memory.
-  while (!witness_recorded_.empty() &&
-         *witness_recorded_.begin() + 16 < batch_round) {
-    witness_recorded_.erase(witness_recorded_.begin());
-  }
+  RoundRecord& rec = rounds_[batch_round];
+  if (rec.witnessed) return;
+  rec.witnessed = true;
+  rec.witness_end = events_.now();
+  tracer_.EndSpan(rec.witness_span);
+  rec.witness_span = 0;
+  if (!rec.start) return;
+  obs_.phase_witness->Observe(net::ToSeconds(events_.now() - *rec.start));
 }
 
 void PorygonSystem::RecordOrderingDecision(uint64_t round) {
-  if (decision_times_.count(round) > 0) return;
-  decision_times_[round] = events_.now();
-  critical_path_.MarkDecision(round, events_.now());
-  auto started = round_start_times_.find(round);
-  if (started != round_start_times_.end()) {
-    obs_.phase_ordering->Observe(
-        net::ToSeconds(events_.now() - started->second));
-    if (tracer_.enabled()) {
-      tracer_.RecordSpan(RoundLane(round), "ordering", "system",
-                         started->second, events_.now());
-    }
+  RoundRecord& rec = rounds_[round];
+  if (rec.decision_pending != 0) return;
+  rec.decision_pending = events_.now();
+  rec.decision = events_.now();
+  if (!rec.start) return;
+  obs_.phase_ordering->Observe(net::ToSeconds(events_.now() - *rec.start));
+  if (tracer_.enabled()) {
+    tracer_.RecordSpan(RoundLane(round), "ordering", "system", *rec.start,
+                       events_.now());
   }
 }
 
 void PorygonSystem::NoteExecPhaseStart(uint64_t exec_round) {
-  // First storage node to fan out exec requests starts the clock; the timer
-  // observes into the execution histogram when NoteExecPhaseEnd erases it.
-  exec_timers_.try_emplace(
-      exec_round,
-      obs::PhaseTimer(obs_.phase_execution,
-                      [this] { return sim_seconds(); }));
-  critical_path_.MarkExecStart(exec_round, events_.now());
-  if (tracer_.enabled() && exec_spans_.count(exec_round) == 0) {
-    exec_spans_[exec_round] =
-        tracer_.BeginSpan(RoundLane(exec_round), "execution", "system");
+  // Every storage node that fans out exec requests calls this; the first
+  // one arms the histogram clock and opens the analyzer's interval. A
+  // repeat start while the clock runs observes a zero-length sample, which
+  // the exported histogram includes (ROADMAP item 1 plans to drop it).
+  RoundRecord& rec = rounds_[exec_round];
+  if (rec.exec_clock) {
+    obs_.phase_execution->Observe(0.0);
+  } else {
+    rec.exec_clock = events_.now();
+    if (tracer_.enabled()) {
+      rec.exec_span =
+          tracer_.BeginSpan(RoundLane(exec_round), "execution", "system");
+    }
+  }
+  if (rec.exec.start == 0) {
+    rec.exec.start = events_.now();
+    exec_floor_ = std::min(exec_floor_, exec_round);
   }
 }
 
 void PorygonSystem::NoteExecPhaseEnd(uint64_t exec_round) {
-  auto it = exec_timers_.find(exec_round);
-  if (it == exec_timers_.end()) return;
-  critical_path_.MarkExecEnd(exec_round, events_.now());
-  it->second.Stop();
-  exec_timers_.erase(it);
-  if (auto es = exec_spans_.find(exec_round); es != exec_spans_.end()) {
-    tracer_.EndSpan(es->second);
-    exec_spans_.erase(es);
-  }
+  auto it = rounds_.find(exec_round);
+  if (it == rounds_.end() || !it->second.exec_clock) return;
+  RoundRecord& rec = it->second;
+  if (rec.exec.start != 0 && rec.exec.end == 0) rec.exec.end = events_.now();
+  // Seconds at the end minus seconds at the start: ToSeconds(end - start)
+  // rounds differently in the last bit and would change the export.
+  obs_.phase_execution->Observe(sim_seconds() -
+                                net::ToSeconds(*rec.exec_clock));
+  rec.exec_clock.reset();
+  tracer_.EndSpan(rec.exec_span);
+  rec.exec_span = 0;
   if (tracer_.enabled()) TraceListingExecuted(exec_round);
 }
 
 obs::TraceContext PorygonSystem::RoundLane(uint64_t round) {
   obs::TraceContext lane = tracer_.RoundContext(round);
-  auto it = round_spans_.find(round);
-  if (it != round_spans_.end()) lane.parent_span = it->second;
+  auto it = rounds_.find(round);
+  if (it != rounds_.end()) lane.parent_span = it->second.round_span;
   return lane;
 }
 
@@ -1401,10 +1393,11 @@ void PorygonSystem::TraceTxFinal(const std::string& tid, bool cross,
     // The Multi-Shard Update ships with proposal L+2; its commit marks the
     // hand-off from "msu" to final commit certification.
     net::SimTime msu_end = now;
-    auto shipped = commit_times_.find(listing_round + 2);
-    if (shipped != commit_times_.end() && shipped->second > st.prev_end &&
-        shipped->second < now) {
-      msu_end = shipped->second;
+    auto shipped = rounds_.find(listing_round + 2);
+    if (shipped != rounds_.end() && shipped->second.commit &&
+        *shipped->second.commit > st.prev_end &&
+        *shipped->second.commit < now) {
+      msu_end = *shipped->second.commit;
     }
     tracer_.RecordSpan(child, "msu", "oc", st.prev_end, msu_end);
     tracer_.RecordSpan(child, "commit", "oc", msu_end, now);

@@ -736,10 +736,11 @@ class PorygonSystem {
   void RecordEquivocationEvidence(const consensus::EquivocationEvidence& ev);
 
   // --- Observability -----------------------------------------------------
-  // Phase-duration recording: witness when blocks reach Tw, ordering at the
-  // leader's BA* decision, commit from decision to block application,
-  // execution via a PhaseTimer spanning exec-request fan-out to the first
-  // result back at the leader. All in sim time; actors call these hooks.
+  // Phase hooks the actors call, each writing the round's RoundRecord:
+  // witness when blocks reach Tw, ordering at the leader's BA* decision,
+  // execution from exec-request fan-out to the first result back at the
+  // leader. Commit (decision to block application) closes in
+  // OnBlockCommitted. All in sim time.
   void RecordWitnessReached(uint64_t batch_round);
   void RecordOrderingDecision(uint64_t round);
   void NoteExecPhaseStart(uint64_t exec_round);
@@ -836,13 +837,50 @@ class PorygonSystem {
     consensus::BaStar::Instruments consensus;
   };
 
+  // --- Round record ------------------------------------------------------
+  // Everything the round driver observes about one round's timeline, kept
+  // once. The phase histograms, round-lane spans, commit latency and the
+  // critical-path reports all read it. A round can start more than once
+  // (Run() may schedule a second StartRound while the round is in flight),
+  // so each field states how a restart and the commit treat it.
+  struct RoundRecord {
+    /// Latest StartRound: a restart overwrites it. Kept for the whole run,
+    /// because commit latency looks up the start of arbitrarily old
+    /// re-offered blocks.
+    std::optional<net::SimTime> start;
+    /// First commit receipt; later receipts are ignored.
+    std::optional<net::SimTime> commit;
+    /// Critical-path marks since the latest start (0 = not observed): a
+    /// restart resets them, and CommitRound reads them.
+    net::SimTime witness_end = 0;
+    net::SimTime decision = 0;
+    /// First ordering decision not yet committed: the commit-phase clock.
+    /// Survives a restart; the commit clears it.
+    net::SimTime decision_pending = 0;
+    /// Tw sample taken. Once per batch, even across a restart.
+    bool witnessed = false;
+    /// The analyzer's execution interval (start 0 = none). First start
+    /// wins; only pruning (closed, 8 rounds behind a commit) clears it.
+    obs::ExecInterval exec;
+    /// Execution-histogram clock: armed by the first start after an end.
+    std::optional<net::SimTime> exec_clock;
+    /// Open round-lane spans (0 = none). A restart opens new round and
+    /// witness spans; the ones it replaces stay open.
+    uint64_t round_span = 0;
+    uint64_t witness_span = 0;
+    uint64_t exec_span = 0;
+    /// Bandwidth-ledger snapshot at the latest start of an uncommitted
+    /// round; the commit differences and releases it.
+    std::vector<net::LinkActivity> baseline;
+  };
+
   // --- Critical-path analysis --------------------------------------------
-  // The bandwidth-ledger side of the analyzer: StartRound snapshots every
-  // node's cumulative net::LinkActivity; OnBlockCommitted differences the
-  // snapshots into per-role LinkWindows (keeping the busiest node per role
-  // and direction — the critical path runs through the worst link), feeds
-  // CommitRound, and publishes the per-link utilization as windowed
-  // net.link_utilization_pm gauges plus Perfetto counter-track samples.
+  // The bandwidth-ledger side of the analyzer: OnBlockCommitted differences
+  // the round record's baseline into per-role LinkWindows (the per-node
+  // mean per role and direction), feeds CommitRound with the record's
+  // marks and the tracked execution intervals, and publishes the per-link
+  // utilization as windowed net.link_utilization_pm gauges plus Perfetto
+  // counter-track samples.
   std::vector<obs::LinkWindow> LinkWindowsSince(
       const std::vector<net::LinkActivity>& baseline) const;
   obs::Gauge* UtilGauge(const std::string& link);
@@ -863,14 +901,13 @@ class PorygonSystem {
   void MaybeScheduleNextRound();
   void OnBlockCommitted(const tx::ProposalBlock& block, net::SimTime when);
   void AdvanceExecState(uint64_t exec_round);
-  ExecutionInput BuildExecutionInput(const tx::ProposalBlock& based_on,
-                                     uint32_t shard) const;
   void AccountCommittedBatch(const tx::ProposalBlock& committed);
 
   tx::ProposalBlock genesis_;
   std::vector<tx::ProposalBlock> chain_;
-  std::map<uint64_t, net::SimTime> round_start_times_;
-  std::map<uint64_t, net::SimTime> commit_times_;
+  std::map<uint64_t, RoundRecord> rounds_;
+  // Rounds below this hold no execution interval the analyzer still sees.
+  uint64_t exec_floor_ = 0;
   uint64_t committed_rounds_ = 0;
   int target_rounds_ = 0;
   bool started_ = false;
@@ -896,15 +933,7 @@ class PorygonSystem {
   std::unordered_map<std::string, TxTraceState> traced_txs_;  // By tx id.
   // Listing round -> traced tx ids listed there (drives sse/commit spans).
   std::map<uint64_t, std::vector<std::string>> traced_by_listing_;
-  std::map<uint64_t, uint64_t> round_spans_;    // Open "round" lane spans.
-  std::map<uint64_t, uint64_t> witness_spans_;  // Open witness-phase spans.
-  std::map<uint64_t, uint64_t> exec_spans_;     // Open execution-phase spans.
-  std::set<uint64_t> witness_recorded_;  // Batch rounds with a Tw sample.
-  std::map<uint64_t, net::SimTime> decision_times_;
-  std::map<uint64_t, obs::PhaseTimer> exec_timers_;
   obs::CriticalPathAnalyzer critical_path_;
-  // Ledger snapshots at round start (differenced at commit), by round.
-  std::map<uint64_t, std::vector<net::LinkActivity>> window_baseline_;
   std::map<std::string, obs::Gauge*> util_gauges_;  // By link name.
   net::EventQueue events_;
   std::unique_ptr<net::SimNetwork> network_;

@@ -1,6 +1,7 @@
 #include "obs/critical_path.h"
 
 #include <algorithm>
+#include <map>
 
 namespace porygon::obs {
 
@@ -58,73 +59,29 @@ std::string RoundReport::ToJson() const {
   return out;
 }
 
-void CriticalPathAnalyzer::BeginRound(uint64_t round, net::SimTime start) {
-  RoundMarks marks;
-  marks.round = round;
-  marks.start = start;
-  pending_[round] = marks;
-}
-
-void CriticalPathAnalyzer::MarkWitnessEnd(uint64_t round, net::SimTime t) {
-  auto it = pending_.find(round);
-  if (it != pending_.end() && it->second.witness_end == 0) {
-    it->second.witness_end = t;
-  }
-}
-
-void CriticalPathAnalyzer::MarkDecision(uint64_t round, net::SimTime t) {
-  auto it = pending_.find(round);
-  if (it != pending_.end() && it->second.decision == 0) {
-    it->second.decision = t;
-  }
-}
-
-void CriticalPathAnalyzer::MarkExecStart(uint64_t exec_round, net::SimTime t) {
-  auto it = exec_intervals_.find(exec_round);
-  if (it == exec_intervals_.end()) {
-    exec_intervals_[exec_round] = ExecInterval{t, 0};
-  }
-}
-
-void CriticalPathAnalyzer::MarkExecEnd(uint64_t exec_round, net::SimTime t) {
-  auto it = exec_intervals_.find(exec_round);
-  if (it != exec_intervals_.end() && it->second.end == 0) {
-    it->second.end = t;
-  }
-}
-
 const RoundReport* CriticalPathAnalyzer::CommitRound(
-    uint64_t round, net::SimTime commit, std::vector<LinkWindow> links) {
-  auto it = pending_.find(round);
-  if (it == pending_.end()) return nullptr;
+    const RoundMarks& marks, const std::vector<ExecInterval>& exec,
+    std::vector<LinkWindow> links) {
   RoundReport rep;
-  rep.marks = it->second;
-  pending_.erase(it);
-  rep.marks.commit = commit;
-  rep.window_us = commit > rep.marks.start ? commit - rep.marks.start : 0;
+  rep.marks = marks;
+  const net::SimTime commit = marks.commit;
+  rep.window_us = commit > marks.start ? commit - marks.start : 0;
 
   // Consensus wait: the witnessed batch sitting in BA* until the leader's
   // ordering decision.
-  if (rep.marks.decision > rep.marks.witness_end &&
-      rep.marks.witness_end > 0) {
-    rep.consensus_wait_us = rep.marks.decision - rep.marks.witness_end;
+  if (marks.decision > marks.witness_end && marks.witness_end > 0) {
+    rep.consensus_wait_us = marks.decision - marks.witness_end;
   }
 
   // Compute: execution-phase time overlapping this window. The pipeline
   // executes listing r-1 while round r's window is open, so this is the
   // execution work the window actually contains. Open intervals (no end
   // mark yet) are clipped at the commit.
-  for (const auto& [exec_round, iv] : exec_intervals_) {
+  for (const ExecInterval& iv : exec) {
     const net::SimTime end = iv.end > 0 ? iv.end : commit;
-    const net::SimTime lo = std::max(iv.start, rep.marks.start);
+    const net::SimTime lo = std::max(iv.start, marks.start);
     const net::SimTime hi = std::min(end, commit);
     if (hi > lo) rep.compute_us += hi - lo;
-  }
-  // Bound memory: closed intervals older than the metric lookback.
-  while (!exec_intervals_.empty() &&
-         exec_intervals_.begin()->first + 8 < round &&
-         exec_intervals_.begin()->second.end != 0) {
-    exec_intervals_.erase(exec_intervals_.begin());
   }
 
   std::sort(links.begin(), links.end(),
@@ -248,29 +205,6 @@ double CriticalPathAnalyzer::MeanUtilization(const std::string& link) const {
   return seen == 0 ? 0.0
                    : static_cast<double>(sum_pm) /
                          (1000.0 * static_cast<double>(seen));
-}
-
-RoundMarks CriticalPathAnalyzer::MarksFromSpans(const std::vector<Span>& spans,
-                                                uint64_t round) {
-  RoundMarks marks;
-  marks.round = round;
-  const uint64_t trace_id = Tracer::kRoundTraceBase + round;
-  for (const Span& s : spans) {
-    if (s.trace_id != trace_id) continue;
-    // The lane also carries per-node instant events (individual witness
-    // signatures, BA* votes); the phase boundaries are the spans the round
-    // driver records as node "system".
-    if (s.node != "system") continue;
-    if (s.name == "round") {
-      marks.start = s.start;
-      marks.commit = s.end;
-    } else if (s.name == "witness" && marks.witness_end == 0) {
-      marks.witness_end = s.end;
-    } else if (s.name == "ordering" && marks.decision == 0) {
-      marks.decision = s.end;
-    }
-  }
-  return marks;
 }
 
 }  // namespace porygon::obs

@@ -2,13 +2,10 @@
 #define PORYGON_OBS_CRITICAL_PATH_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "net/sim_time.h"
-#include "obs/trace.h"
 
 namespace porygon::obs {
 
@@ -26,9 +23,10 @@ struct LinkWindow {
   net::SimTime busy_us = 0;   ///< Transmission time accumulated in-window.
 };
 
-/// Sim-time phase boundaries of one round (0 = never observed). The same
-/// boundaries the round trace lane records as spans; kept as plain marks
-/// so the analyzer works with tracing off.
+/// Sim-time phase boundaries of one round (0 = never observed), as the
+/// round driver's record holds them: the same boundaries the round trace
+/// lane records as spans, kept as plain marks so the analyzer works with
+/// tracing off.
 struct RoundMarks {
   uint64_t round = 0;
   net::SimTime start = 0;
@@ -75,11 +73,20 @@ struct RoundReport {
   std::string ToJson() const;
 };
 
-/// Per-round critical-path analyzer: collects phase marks as the round
-/// driver observes them, then decomposes the round window into latency
-/// segments when the round commits, attributing the dominant edge from
-/// the bandwidth-ledger windows it is handed. Purely sim-time-driven, so
-/// reports are byte-identical for a given seed at any thread count.
+/// One execution-phase interval: the listing executed while a later
+/// round's window is open (the pipeline overlaps them). `end` is 0 while the
+/// phase is still open.
+struct ExecInterval {
+  net::SimTime start = 0;
+  net::SimTime end = 0;
+};
+
+/// Per-round critical-path analyzer: a pure decomposition of one committed
+/// round's window into latency segments, attributing the dominant edge from
+/// the bandwidth-ledger windows it is handed. The round driver owns the
+/// phase marks and execution intervals and passes them in at commit.
+/// Purely sim-time-driven, so reports are byte-identical for a given seed
+/// at any thread count.
 ///
 /// Reports are bounded: after `max_reports` rounds, further commits are
 /// analyzed but not retained (dropped_reports() counts them).
@@ -93,18 +100,12 @@ class CriticalPathAnalyzer {
   }
   void set_max_reports(size_t n) { max_reports_ = n; }
 
-  void BeginRound(uint64_t round, net::SimTime start);
-  void MarkWitnessEnd(uint64_t round, net::SimTime t);
-  void MarkDecision(uint64_t round, net::SimTime t);
-  /// Execution-phase interval for `exec_round` (the listing executed while
-  /// a later round's window is open — the pipeline overlaps them).
-  void MarkExecStart(uint64_t exec_round, net::SimTime t);
-  void MarkExecEnd(uint64_t exec_round, net::SimTime t);
-
-  /// Closes round `round` at `commit`, decomposes its window against the
-  /// link ledger deltas, and returns the retained report (nullptr once
-  /// past max_reports, or for a round BeginRound never saw).
-  const RoundReport* CommitRound(uint64_t round, net::SimTime commit,
+  /// Decomposes the window [marks.start, marks.commit] against the link
+  /// ledger deltas and every execution interval the driver still tracks
+  /// (open intervals are clipped at the commit), and returns the retained
+  /// report (nullptr once past max_reports).
+  const RoundReport* CommitRound(const RoundMarks& marks,
+                                 const std::vector<ExecInterval>& exec,
                                  std::vector<LinkWindow> links);
 
   const std::vector<RoundReport>& reports() const { return reports_; }
@@ -124,28 +125,11 @@ class CriticalPathAnalyzer {
   /// saw it; 0 when never seen.
   double MeanUtilization(const std::string& link) const;
 
-  /// Extracts marks for `round` from a recorded span set (the round trace
-  /// lane): the node-"system" phase spans "round" (start/end), "witness"
-  /// (end), "ordering" (end); per-node instant events on the same lane
-  /// (individual signatures, votes) are skipped. Lets tools
-  /// rebuild reports from an exported trace; the live analyzer uses direct
-  /// marks so it works with tracing off. Spans from other rounds are
-  /// ignored.
-  static RoundMarks MarksFromSpans(const std::vector<Span>& spans,
-                                   uint64_t round);
-
  private:
-  struct ExecInterval {
-    net::SimTime start = 0;
-    net::SimTime end = 0;  ///< 0 while still open.
-  };
-
   net::SimTime latency_us_ = 500;
   int hops_ = 8;
   size_t max_reports_ = 4096;
   uint64_t dropped_reports_ = 0;
-  std::map<uint64_t, RoundMarks> pending_;        // Rounds begun, not committed.
-  std::map<uint64_t, ExecInterval> exec_intervals_;  // By exec round.
   std::vector<RoundReport> reports_;
 };
 

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -92,8 +93,8 @@ TEST(CriticalPathTest, SyntheticBottleneckNamesDominantEdge) {
                    up.busy_up_us});
   links.push_back({"server.downlink", down.bytes_down, down.queue_down_us,
                    down.busy_down_us});
-  cp.BeginRound(1, 0);
-  const obs::RoundReport* rep = cp.CommitRound(1, events.now(), links);
+  const obs::RoundReport* rep =
+      cp.CommitRound({.round = 1, .commit = events.now()}, {}, links);
   ASSERT_NE(rep, nullptr);
   EXPECT_EQ(rep->dominant_edge, "server.downlink");
   EXPECT_EQ(rep->dominant_segment, "downlink_queue");
@@ -107,6 +108,43 @@ TEST(CriticalPathTest, SyntheticBottleneckNamesDominantEdge) {
             std::string::npos);
   EXPECT_NE(json.find("\"dominant_segment\":\"downlink_queue\""),
             std::string::npos);
+}
+
+TEST(CriticalPathTest, CommitRoundDecomposesMarksAndExecIntervals) {
+  obs::CriticalPathAnalyzer cp;
+  cp.SetPropagationModel(100, 2);
+  const obs::RoundMarks marks{.round = 4,
+                              .start = 1'000,
+                              .witness_end = 1'500,
+                              .decision = 2'100,
+                              .commit = 3'000};
+  // One interval straddling the start, one closed inside the window, one
+  // still open (clipped at the commit), one entirely before the window.
+  const std::vector<obs::ExecInterval> exec = {
+      {.start = 800, .end = 1'200},
+      {.start = 1'400, .end = 1'600},
+      {.start = 2'500, .end = 0},
+      {.start = 100, .end = 900},
+  };
+  const obs::RoundReport* rep = cp.CommitRound(marks, exec, {});
+  ASSERT_NE(rep, nullptr);
+  EXPECT_EQ(rep->marks.round, 4u);
+  EXPECT_EQ(rep->window_us, 2'000);
+  EXPECT_EQ(rep->compute_us, 200 + 200 + 500);
+  EXPECT_EQ(rep->consensus_wait_us, 600);
+  EXPECT_EQ(rep->propagation_us, 200);
+  EXPECT_EQ(rep->dominant_segment, "compute");
+  EXPECT_EQ(rep->dominant_edge, "");
+
+  // No witness mark: no consensus wait. Past max_reports: analyzed, not
+  // retained.
+  cp.set_max_reports(1);
+  EXPECT_EQ(cp.CommitRound({.round = 5, .start = 3'000, .decision = 3'500,
+                            .commit = 4'000},
+                           {}, {}),
+            nullptr);
+  EXPECT_EQ(cp.reports().size(), 1u);
+  EXPECT_EQ(cp.dropped_reports(), 1u);
 }
 
 TEST(CriticalPathTest, InflightHighWatermarkTracksAndResets) {
@@ -138,14 +176,14 @@ TEST(CriticalPathTest, InflightHighWatermarkTracksAndResets) {
 struct SysArtifacts {
   std::string reports_json;
   std::string metrics_json;
+  std::string trace_json;
   std::string dominant_edge;
   double sim_seconds = 0;
   crypto::Hash256 global_root{};
   size_t report_count = 0;
 };
 
-SysArtifacts RunCompact(int worker_threads, bool trace = false,
-                        core::PorygonSystem** keep = nullptr) {
+core::SystemOptions CompactOpts(int worker_threads, bool trace) {
   core::SystemOptions opt;
   opt.params.shard_bits = 1;
   opt.params.witness_threshold = 2;
@@ -160,9 +198,24 @@ SysArtifacts RunCompact(int worker_threads, bool trace = false,
   opt.worker_threads = worker_threads;
   opt.trace.enabled = trace;
   opt.trace.sample_transactions = 8;
+  return opt;
+}
 
-  auto* sys = new core::PorygonSystem(opt);
-  sys->CreateAccounts(60, 10'000);
+SysArtifacts Collect(const core::PorygonSystem& sys) {
+  SysArtifacts out;
+  out.reports_json = sys.critical_path().ReportsJson();
+  out.metrics_json = sys.metrics().ToJson();
+  out.trace_json = sys.tracer().ExportChromeJson();
+  out.dominant_edge = sys.critical_path().DominantEdgeMode();
+  out.sim_seconds = sys.sim_seconds();
+  out.global_root = sys.canonical_state().GlobalRoot();
+  out.report_count = sys.critical_path().reports().size();
+  return out;
+}
+
+SysArtifacts RunCompact(int worker_threads, bool trace = false) {
+  core::PorygonSystem sys(CompactOpts(worker_threads, trace));
+  sys.CreateAccounts(60, 10'000);
   Rng rng(99);
   std::map<uint64_t, uint64_t> nonces;
   for (int i = 0; i < 80; ++i) {
@@ -174,23 +227,10 @@ SysArtifacts RunCompact(int worker_threads, bool trace = false,
     t.to = to;
     t.amount = 1;
     t.nonce = nonces[from];
-    if (sys->SubmitTransaction(t).ok()) ++nonces[from];
+    if (sys.SubmitTransaction(t).ok()) ++nonces[from];
   }
-  sys->Run(8);
-
-  SysArtifacts out;
-  out.reports_json = sys->critical_path().ReportsJson();
-  out.metrics_json = sys->metrics().ToJson();
-  out.dominant_edge = sys->critical_path().DominantEdgeMode();
-  out.sim_seconds = sys->sim_seconds();
-  out.global_root = sys->canonical_state().GlobalRoot();
-  out.report_count = sys->critical_path().reports().size();
-  if (keep != nullptr) {
-    *keep = sys;
-  } else {
-    delete sys;
-  }
-  return out;
+  sys.Run(8);
+  return Collect(sys);
 }
 
 TEST(CriticalPathTest, RoundReportsAreThreadInvariant) {
@@ -235,34 +275,54 @@ TEST(CriticalPathTest, TraceSamplingLeavesTimingByteIdentical) {
   EXPECT_EQ(traced.reports_json, untraced.reports_json);
   EXPECT_EQ(traced.sim_seconds, untraced.sim_seconds);
   EXPECT_EQ(traced.global_root, untraced.global_root);
+  // The utilization counter tracks were exported as Perfetto "C" events.
+  EXPECT_NE(traced.trace_json.find("\"ph\":\"C\""), std::string::npos);
+  EXPECT_NE(traced.trace_json.find("util_pm.oc_leader.downlink"),
+            std::string::npos);
 }
 
-TEST(CriticalPathTest, MarksFromSpansMatchDirectMarks) {
-  unsetenv("PORYGON_THREADS");
-  core::PorygonSystem* sys = nullptr;
-  (void)RunCompact(0, /*trace=*/true, &sys);
-  ASSERT_NE(sys, nullptr);
-  const auto& reports = sys->critical_path().reports();
-  ASSERT_FALSE(reports.empty());
-  // The analyzer's direct marks and the round trace lane record the same
-  // graph; walking the exported spans reproduces the marks exactly.
-  size_t checked = 0;
-  for (const obs::RoundReport& rep : reports) {
-    const obs::RoundMarks from_spans = obs::CriticalPathAnalyzer::MarksFromSpans(
-        sys->tracer()->spans(), rep.marks.round);
-    EXPECT_EQ(from_spans.start, rep.marks.start) << rep.marks.round;
-    EXPECT_EQ(from_spans.commit, rep.marks.commit) << rep.marks.round;
-    EXPECT_EQ(from_spans.witness_end, rep.marks.witness_end)
-        << rep.marks.round;
-    EXPECT_EQ(from_spans.decision, rep.marks.decision) << rep.marks.round;
-    ++checked;
+// A sim-time open-loop driver: every 0.1 s tick submits that tick's
+// transactions and calls Run(1 << 30, tick_end), so Run() lands in the
+// middle of rounds — and can schedule a second start of a round still in
+// flight. 30 s of sim time at 40 tx/s.
+SysArtifacts RunTicks(const char* dissemination, int worker_threads,
+                      bool trace) {
+  core::SystemOptions opt = CompactOpts(worker_threads, trace);
+  auto spec = net::DisseminationSpec::Parse(dissemination);
+  EXPECT_TRUE(spec.ok());
+  opt.dissemination = *spec;
+  core::PorygonSystem sys(opt);
+  sys.CreateAccounts(1000, 1'000'000);
+  workload::UniformTrafficModel gen({.num_accounts = 1000,
+                                     .shard_bits = 1,
+                                     .cross_shard_ratio = 0.2,
+                                     .seed = 7});
+  for (int t = 1; t <= 300; ++t) {
+    sys.SubmitBatch(gen.Batch(4));
+    sys.Run(1 << 30, static_cast<net::SimTime>(t) * 100'000);
   }
-  EXPECT_GE(checked, 8u);
-  // The utilization counter tracks were exported as Perfetto "C" events.
-  const std::string trace_json = sys->tracer()->ExportChromeJson();
-  EXPECT_NE(trace_json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(trace_json.find("util_pm.oc_leader.downlink"), std::string::npos);
-  delete sys;
+  return Collect(sys);
+}
+
+// The round record's lifetime rules under mid-round Run() calls: every
+// export stays byte-identical across compute-thread counts and with trace
+// sampling on or off.
+TEST(CriticalPathTest, MidRoundRunIsThreadAndTraceInvariant) {
+  unsetenv("PORYGON_THREADS");
+  for (const char* mode : {"direct", "tree"}) {
+    const SysArtifacts serial = RunTicks(mode, 0, /*trace=*/false);
+    ASSERT_GE(serial.report_count, 4u) << mode;
+    for (const auto& [threads, trace] :
+         {std::pair{4, false}, std::pair{0, true}, std::pair{4, true}}) {
+      const SysArtifacts run = RunTicks(mode, threads, trace);
+      EXPECT_EQ(run.metrics_json, serial.metrics_json)
+          << mode << " threads=" << threads << " trace=" << trace;
+      EXPECT_EQ(run.reports_json, serial.reports_json)
+          << mode << " threads=" << threads << " trace=" << trace;
+      EXPECT_EQ(run.global_root, serial.global_root)
+          << mode << " threads=" << threads << " trace=" << trace;
+    }
+  }
 }
 
 // The diagnosis the analyzer exists for (ROADMAP item 1): under per-shard

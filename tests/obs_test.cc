@@ -111,35 +111,6 @@ TEST(RegistryTest, VisitationFollowsCanonicalOrder) {
   EXPECT_EQ(names[2], "b.metric");
 }
 
-TEST(PhaseTimerTest, ObservesOnDestructionAndStop) {
-  Histogram h({1.0, 10.0});
-  double now = 5.0;
-  {
-    PhaseTimer t(&h, [&now] { return now; });
-    now = 7.5;
-  }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.sum(), 2.5);
-
-  PhaseTimer t(&h, [&now] { return now; });
-  now = 8.5;
-  EXPECT_DOUBLE_EQ(t.Stop(), 1.0);
-  EXPECT_FALSE(t.armed());
-  EXPECT_EQ(h.count(), 2u);  // Stop observed; destructor must not re-observe.
-
-  PhaseTimer cancelled(&h, [&now] { return now; });
-  cancelled.Cancel();
-  EXPECT_EQ(h.count(), 2u);
-
-  // Moving transfers the observation to the destination.
-  PhaseTimer src(&h, [&now] { return now; });
-  PhaseTimer dst = std::move(src);
-  EXPECT_FALSE(src.armed());
-  EXPECT_TRUE(dst.armed());
-  dst.Cancel();
-  EXPECT_EQ(h.count(), 2u);
-}
-
 TEST(ExportTest, JsonCoversEverySeriesAndIsDeterministic) {
   MetricsRegistry reg;
   reg.GetCounter("net.bytes", {{"class", "storage"}})->Add(128);
