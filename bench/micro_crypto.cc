@@ -6,6 +6,7 @@
 #include "crypto/ed25519.h"
 #include "crypto/provider.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/sha512.h"
 #include "crypto/vrf.h"
 
@@ -21,7 +22,32 @@ void BM_Sha256(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+// 40 B is a transaction body (Transaction::Id), 65 B an SMT inner node.
+BENCHMARK(BM_Sha256)->Arg(40)->Arg(64)->Arg(65)->Arg(1024)->Arg(65536);
+
+// One 64-byte block through each compression kernel, without padding or
+// the dispatch Sha256 does.
+void BM_Sha256Kernel(benchmark::State& state,
+                     detail::Sha256CompressFn compress) {
+  Rng rng(7);
+  Bytes block = rng.NextBytes(64);
+  uint32_t chain[8] = {};
+  for (auto _ : state) {
+    compress(chain, block.data(), 1);
+    benchmark::DoNotOptimize(chain);
+  }
+  state.SetBytesProcessed(state.iterations() * 64);
+}
+BENCHMARK_CAPTURE(BM_Sha256Kernel, scalar, detail::Sha256CompressScalar);
+
+void BM_Sha256KernelShaNi(benchmark::State& state) {
+  if (!detail::Sha256HasShaNi()) {
+    state.SkipWithError("CPU lacks the SHA extensions");
+    return;
+  }
+  BM_Sha256Kernel(state, detail::Sha256CompressShaNi);
+}
+BENCHMARK(BM_Sha256KernelShaNi);
 
 void BM_Sha512(benchmark::State& state) {
   Rng rng(2);

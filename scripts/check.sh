@@ -30,6 +30,11 @@ run_suite() {
   # Adversary suite, likewise: chain identity and evidence collection under
   # every Byzantine strategy at the paper's alpha/beta bounds.
   ctest --test-dir "$dir" -R Adversary --output-on-failure
+  # Hashing suite: FIPS vectors and padding boundaries through the
+  # dispatched kernel, scalar vs SHA-NI block by block (skipped on CPUs
+  # without SHA-NI), and the sorted-frontier SMT PutBatch against
+  # sequential Puts, proofs included.
+  ctest --test-dir "$dir" -R 'Sha256|Smt' --output-on-failure
   # Workload suite: traffic-model determinism, Zipf sanity, scenario rows.
   ctest --test-dir "$dir" -R Workload --output-on-failure
   # Critical-path suite: bandwidth-ledger queue/busy accounting, dominant
@@ -76,7 +81,8 @@ if [[ "${PORYGON_SKIP_SANITIZERS:-0}" != "1" ]]; then
     run_suite build-asan -DPORYGON_SANITIZE=address,undefined
 
   # TSan leg: the pool fan-outs (shard execution, batch crypto, compaction,
-  # bloom builds) must be race-free with workers actually running, so force
+  # bloom builds) must be race-free with workers actually running, and the
+  # hashing suite runs both SHA-256 kernels and PutBatch here too, so force
   # a multi-threaded pool via PORYGON_THREADS for the runtime + system
   # suites. TSan is incompatible with ASan, hence the third build tree.
   echo "== thread sanitized build + runtime/system ctest =="
@@ -85,7 +91,7 @@ if [[ "${PORYGON_SKIP_SANITIZERS:-0}" != "1" ]]; then
   PORYGON_THREADS=4 \
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-tsan --output-on-failure \
-      -R 'TaskPool|VerifyBatch|ThreadInvariance|SystemIntegration|StorageDb|Db|Adversary|CriticalPath|Dissemination'
+      -R 'TaskPool|VerifyBatch|ThreadInvariance|SystemIntegration|StorageDb|Db|Adversary|CriticalPath|Dissemination|Sha256|Smt'
 fi
 
 echo "check.sh: all suites passed"

@@ -30,8 +30,6 @@ class Sha256 {
   static Hash256 HashPair(ByteView a, ByteView b);
 
  private:
-  void Compress(const uint8_t block[64]);
-
   uint32_t state_[8];
   uint64_t length_ = 0;  // Total bytes absorbed.
   uint8_t buffer_[64];

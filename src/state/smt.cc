@@ -1,8 +1,7 @@
 #include "state/smt.h"
 
+#include <algorithm>
 #include <cstring>
-
-#include "common/codec.h"
 
 namespace porygon::state {
 
@@ -16,11 +15,22 @@ constexpr uint8_t kInnerTag = 0x01;
 constexpr uint8_t kEmptyTag = 0x02;
 
 Hash256 InnerHash(const Hash256& left, const Hash256& right) {
-  Sha256 h;
-  h.Update(ByteView(&kInnerTag, 1));
-  h.Update(ByteView(left.data(), left.size()));
-  h.Update(ByteView(right.data(), right.size()));
-  return h.Finish();
+  uint8_t node[1 + 2 * sizeof(Hash256)];
+  node[0] = kInnerTag;
+  std::memcpy(node + 1, left.data(), left.size());
+  std::memcpy(node + 1 + left.size(), right.data(), right.size());
+  return Sha256::Hash(ByteView(node, sizeof(node)));
+}
+
+// Writes `hash` as the node at `prefix` of one level, or erases the entry
+// when it equals the level default (absent nodes read as the default).
+void StoreNode(std::unordered_map<uint64_t, Hash256>* level, uint64_t prefix,
+               const Hash256& hash, const Hash256& level_default) {
+  if (hash == level_default) {
+    level->erase(prefix);
+  } else {
+    (*level)[prefix] = hash;
+  }
 }
 }  // namespace
 
@@ -45,11 +55,11 @@ Result<MerkleProof> MerkleProof::Decode(ByteView data) {
 
 Hash256 SparseMerkleTree::LeafHash(uint64_t key, ByteView value) {
   if (value.empty()) return Defaults()[kDepth];
-  Encoder enc;
-  enc.PutU64(key);
+  uint8_t head[1 + sizeof(uint64_t)];
+  head[0] = kLeafTag;
+  StoreLittleEndian64(head + 1, key);
   Sha256 h;
-  h.Update(ByteView(&kLeafTag, 1));
-  h.Update(enc.buffer());
+  h.Update(ByteView(head, sizeof(head)));
   h.Update(value);
   return h.Finish();
 }
@@ -85,11 +95,7 @@ void SparseMerkleTree::Put(uint64_t key, ByteView value) {
   Hash256 hash = LeafHash(key, value);
   uint64_t prefix = key;
   for (int level = kDepth; level >= 0; --level) {
-    if (hash == Defaults()[level]) {
-      nodes_[level].erase(prefix);
-    } else {
-      nodes_[level][prefix] = hash;
-    }
+    StoreNode(&nodes_[level], prefix, hash, Defaults()[level]);
     if (level == 0) break;
     uint64_t sibling = prefix ^ 1;
     Hash256 sibling_hash = NodeAt(level, sibling);
@@ -102,48 +108,54 @@ void SparseMerkleTree::Put(uint64_t key, ByteView value) {
 void SparseMerkleTree::PutBatch(
     const std::vector<std::pair<uint64_t, Bytes>>& writes) {
   if (writes.empty()) return;
-  // Apply leaves; collect the dirty frontier.
-  std::unordered_map<uint64_t, Hash256> dirty;
-  for (const auto& [key, value] : writes) {
+  // Order the writes by key, keeping input order among equal keys, so the
+  // last of each run is the write that wins.
+  std::vector<std::pair<uint64_t, size_t>> order;
+  order.reserve(writes.size());
+  for (size_t i = 0; i < writes.size(); ++i) {
+    order.emplace_back(writes[i].first, i);
+  }
+  std::sort(order.begin(), order.end());
+  // The dirty frontier of one level: (prefix, hash), sorted by prefix with
+  // no duplicates, so a node's sibling, when dirty too, is its neighbour.
+  std::vector<std::pair<uint64_t, Hash256>> frontier, parents;
+  frontier.reserve(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i + 1 < order.size() && order[i + 1].first == order[i].first) continue;
+    const auto& [key, value] = writes[order[i].second];
     if (value.empty()) {
       leaves_.erase(key);
     } else {
       leaves_[key] = value;
     }
-    dirty[key] = LeafHash(key, value);
+    frontier.emplace_back(key, LeafHash(key, value));
   }
-  // Rehash level by level toward the root; each dirty node pulls its
-  // sibling from the dirty set first, then the stored tree.
+  parents.reserve(frontier.size());
+  // Rehash level by level toward the root. An even prefix followed by
+  // prefix|1 is a dirty pair; any other node pulls its sibling from the
+  // stored tree, which this level's writes never touch for that sibling.
   for (int level = kDepth; level >= 1; --level) {
-    std::unordered_map<uint64_t, Hash256> parent_dirty;
-    for (const auto& [prefix, hash] : dirty) {
-      if (hash == Defaults()[level]) {
-        nodes_[level].erase(prefix);
-      } else {
-        nodes_[level][prefix] = hash;
+    const Hash256& level_default = Defaults()[level];
+    parents.clear();
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      const auto& [prefix, hash] = frontier[i];
+      StoreNode(&nodes_[level], prefix, hash, level_default);
+      if ((prefix & 1) == 0 && i + 1 < frontier.size() &&
+          frontier[i + 1].first == (prefix | 1)) {
+        const Hash256& right = frontier[++i].second;
+        StoreNode(&nodes_[level], prefix | 1, right, level_default);
+        parents.emplace_back(prefix >> 1, InnerHash(hash, right));
+        continue;
       }
+      Hash256 sibling = NodeAt(level, prefix ^ 1);
+      parents.emplace_back(prefix >> 1, (prefix & 1)
+                                            ? InnerHash(sibling, hash)
+                                            : InnerHash(hash, sibling));
     }
-    for (const auto& [prefix, hash] : dirty) {
-      uint64_t parent = prefix >> 1;
-      if (parent_dirty.count(parent) > 0) continue;  // Sibling handled it.
-      uint64_t sibling = prefix ^ 1;
-      auto sib_it = dirty.find(sibling);
-      Hash256 sibling_hash =
-          sib_it != dirty.end() ? sib_it->second : NodeAt(level, sibling);
-      parent_dirty[parent] = (prefix & 1)
-                                 ? InnerHash(sibling_hash, hash)
-                                 : InnerHash(hash, sibling_hash);
-    }
-    dirty = std::move(parent_dirty);
+    frontier.swap(parents);
   }
-  // dirty now holds the root (level 0).
-  for (const auto& [prefix, hash] : dirty) {
-    if (hash == Defaults()[0]) {
-      nodes_[0].erase(prefix);
-    } else {
-      nodes_[0][prefix] = hash;
-    }
-  }
+  // The frontier is now the root alone (level 0, prefix 0).
+  StoreNode(&nodes_[0], 0, frontier.front().second, Defaults()[0]);
 }
 
 Status SparseMerkleTree::InjectProof(uint64_t key, ByteView value,

@@ -26,8 +26,8 @@ struct MerkleProof {
 
 /// Sparse Merkle tree of fixed depth over 64-bit keys. Absent keys hash to a
 /// per-level default, so the tree is O(occupied keys) in memory while proofs
-/// behave as if all 2^64 leaves existed. Leaf hash = H(key_le || value);
-/// inner = H(left || right).
+/// behave as if all 2^64 leaves existed. Leaf hash =
+/// H(0x00 || key_le || value); inner = H(0x01 || left || right).
 ///
 /// This is the authenticated index over accounts that storage nodes maintain
 /// and stateless nodes verify: Get/Update with Merkle paths, root
@@ -47,7 +47,8 @@ class SparseMerkleTree {
   /// level by level. For a block of k updates this costs
   /// O(k + distinct-path-nodes) hashes instead of O(k * depth) — the
   /// difference between microseconds and milliseconds per committed block
-  /// (see bench/micro_merkle). Last write wins for duplicate keys.
+  /// (see BM_SmtPutBatch in bench/micro_state). Last write wins for
+  /// duplicate keys.
   void PutBatch(const std::vector<std::pair<uint64_t, Bytes>>& writes);
 
   /// Returns the value (NotFound if absent).

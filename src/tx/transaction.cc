@@ -3,6 +3,8 @@
 namespace porygon::tx {
 
 namespace {
+// The signed body: from, to, amount, nonce and submitted_at as
+// little-endian u64s. Encode() appends the signature to it.
 Bytes EncodeBody(const Transaction& t) {
   Encoder enc;
   enc.PutU64(t.from);
@@ -15,7 +17,15 @@ Bytes EncodeBody(const Transaction& t) {
 }  // namespace
 
 TxId Transaction::Id() const {
-  return crypto::Sha256::Hash(EncodeBody(*this));
+  // The same bytes as EncodeBody, written to the stack: the id is hashed
+  // several times per transaction and needs no heap buffer.
+  uint8_t body[5 * sizeof(uint64_t)];
+  StoreLittleEndian64(body, from);
+  StoreLittleEndian64(body + 8, to);
+  StoreLittleEndian64(body + 16, amount);
+  StoreLittleEndian64(body + 24, nonce);
+  StoreLittleEndian64(body + 32, submitted_at);
+  return crypto::Sha256::Hash(ByteView(body, sizeof(body)));
 }
 
 Bytes Transaction::Encode() const {

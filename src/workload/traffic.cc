@@ -47,26 +47,6 @@ bool ParseU(const std::string& s, uint64_t* out) {
   return end != nullptr && *end == '\0';
 }
 
-const char* ModelName(Spec::Model m) {
-  switch (m) {
-    case Spec::Model::kUniform: return "uniform";
-    case Spec::Model::kZipf: return "zipf";
-    case Spec::Model::kFlashCrowd: return "flashcrowd";
-    case Spec::Model::kContract: return "contract";
-  }
-  return "uniform";
-}
-
-const char* ArrivalName(Spec::Arrival a) {
-  switch (a) {
-    case Spec::Arrival::kConstant: return "constant";
-    case Spec::Arrival::kBursty: return "bursty";
-    case Spec::Arrival::kDiurnal: return "diurnal";
-    case Spec::Arrival::kFlash: return "flash";
-  }
-  return "constant";
-}
-
 }  // namespace
 
 std::vector<tx::Transaction> TrafficModel::Batch(size_t n) {

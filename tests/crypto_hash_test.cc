@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 
 #include "common/bytes.h"
+#include "common/rng.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/sha512.h"
 
 namespace porygon::crypto {
@@ -63,6 +66,74 @@ TEST(Sha256Test, PrefixU64IsBigEndian) {
   h[0] = 0x01;
   h[7] = 0xff;
   EXPECT_EQ(HashPrefixU64(h), 0x01000000000000ffULL);
+}
+
+// Lengths on both sides of every padding boundary: Finish() spills into a
+// second block once the 0x80 marker leaves fewer than 8 bytes for the
+// length (55 fits in one block, 56 does not), and 64/119/120/128 repeat the
+// split one block later. Digests of n x 'a' from an independent
+// implementation.
+TEST(Sha256Test, PaddingBoundaryVectors) {
+  const struct {
+    size_t length;
+    const char* hex;
+  } kVectors[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {1, "ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb"},
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {57, "f13b2d724659eb3bf47f2dd6af1accc87b81f09f59f2b75e5c0bed6589dfe8c6"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+      {119,
+       "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120,
+       "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+      {128,
+       "6836cf13bac400e9105071cd6af47084dfacad4e5e302c94bfed24e013afb73e"},
+  };
+  for (const auto& v : kVectors) {
+    const std::string msg(v.length, 'a');
+    const std::string_view view(msg);
+    EXPECT_EQ(HashToHex(Sha256::Hash(ByteView(view))), v.hex)
+        << "length " << v.length;
+    for (size_t split = 0; split <= msg.size(); ++split) {
+      Sha256 h;
+      h.Update(ByteView(view.substr(0, split)));
+      h.Update(ByteView(view.substr(split)));
+      EXPECT_EQ(HashToHex(h.Finish()), v.hex)
+          << "length " << v.length << " split at " << split;
+    }
+  }
+}
+
+// The scalar rounds and the SHA-NI kernel must agree on every block, from
+// any chaining state, whether blocks arrive one at a time or in a run.
+TEST(Sha256Test, KernelsAgreeBlockByBlock) {
+  if (!detail::Sha256HasShaNi()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions; only the scalar kernel runs";
+  }
+  Rng rng(7);
+  uint32_t scalar[8], shani[8];
+  for (uint32_t& w : scalar) w = static_cast<uint32_t>(rng.NextU64());
+  std::memcpy(shani, scalar, sizeof(scalar));
+  for (int i = 0; i < 256; ++i) {
+    Bytes block = rng.NextBytes(64);
+    detail::Sha256CompressScalar(scalar, block.data(), 1);
+    detail::Sha256CompressShaNi(shani, block.data(), 1);
+    ASSERT_EQ(std::memcmp(scalar, shani, sizeof(scalar)), 0) << "block " << i;
+  }
+  Bytes run = rng.NextBytes(64 * 9);
+  detail::Sha256CompressScalar(scalar, run.data(), 9);
+  detail::Sha256CompressShaNi(shani, run.data(), 9);
+  EXPECT_EQ(std::memcmp(scalar, shani, sizeof(scalar)), 0);
+}
+
+TEST(Sha256Test, DispatchPicksShaNiWhenPresent) {
+  EXPECT_EQ(detail::Sha256Compress(), detail::Sha256HasShaNi()
+                                          ? detail::Sha256CompressShaNi
+                                          : detail::Sha256CompressScalar);
 }
 
 TEST(Sha512Test, EmptyInput) {

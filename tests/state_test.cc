@@ -172,12 +172,33 @@ TEST_P(SmtBatchTest, PutBatchMatchesSequentialPuts) {
     Bytes v = rng.NextBernoulli(0.2) ? Bytes()
                                      : ToBytes("w" + std::to_string(i));
     writes.emplace_back(k, v);
+    // Sibling leaves (k, k^1) dirty in the same batch.
+    if (i % 10 == 0) {
+      writes.emplace_back(k ^ 1, ToBytes("s" + std::to_string(i)));
+    }
   }
+  // A key that holds a value before the batch and whose last write in the
+  // batch is a delete, after an earlier write to it in the same batch.
+  const uint64_t deleted = writes.front().first;
+  sequential.Put(deleted, ToBytes("pre"));
+  batched.Put(deleted, ToBytes("pre"));
+  writes.emplace_back(deleted, ToBytes("overwritten"));
+  writes.emplace_back(deleted, Bytes());
   for (const auto& [k, v] : writes) sequential.Put(k, v);
   batched.PutBatch(writes);
 
   EXPECT_EQ(sequential.Root(), batched.Root());
   EXPECT_EQ(sequential.LeafCount(), batched.LeafCount());
+  EXPECT_FALSE(batched.Get(deleted).ok());
+  // Every stored node on each touched path, not only the root, must match:
+  // a stale node below the root shows up in a proof.
+  for (const auto& [k, v] : writes) {
+    for (uint64_t key : {k, k ^ 1}) {
+      EXPECT_TRUE(sequential.Prove(key).siblings ==
+                  batched.Prove(key).siblings)
+          << "proofs differ for key " << key;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SmtBatchTest, ::testing::Values(41, 42, 43));

@@ -38,6 +38,14 @@ TEST(TransactionTest, IdCoversBodyNotSignature) {
   EXPECT_NE(a.Id(), b.Id());  // Body included.
 }
 
+TEST(TransactionTest, IdHashesTheEncodedBody) {
+  Transaction t = Make(0x0102030405060708, 20, 500, 3);
+  t.signature.fill(0xCD);
+  const Bytes wire = t.Encode();
+  ASSERT_EQ(wire.size(), 40u + t.signature.size());
+  EXPECT_EQ(t.Id(), crypto::Sha256::Hash(ByteView(wire.data(), 40)));
+}
+
 TEST(TransactionTest, CrossShardDetection) {
   EXPECT_FALSE(Make(2, 4, 1, 0).IsCrossShard(1));  // Even/even.
   EXPECT_TRUE(Make(2, 3, 1, 0).IsCrossShard(1));
