@@ -45,6 +45,40 @@ void BM_SmtPutBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SmtPutBatch)->Arg(100)->Arg(1000)->Arg(8000);
 
+void BM_SmtPutBatchShard(benchmark::State& state) {
+  // Shaped like one shard of the transfer workload: ~60k live accounts
+  // with ids = 1 (mod 4) below 2^20, rewritten by 1,300-write blocks. The
+  // 10k-leaf trees above fit in cache and hide node-table churn; this one
+  // does not.
+  Rng rng(5);
+  auto account_id = [&rng] { return 4 * (rng.NextU64() % (1u << 18)) + 1; };
+  std::vector<std::pair<uint64_t, Bytes>> init;
+  for (int i = 0; i < 65536; ++i) {
+    init.emplace_back(account_id(), ToBytes("balance-and-nonce"));
+  }
+  SparseMerkleTree tree;
+  tree.PutBatch(init);
+  // Rotate through fixed blocks that rewrite live accounts, each with its
+  // own value, so every block changes the leaves it touches.
+  constexpr size_t kBlockWrites = 1300;
+  std::vector<std::vector<std::pair<uint64_t, Bytes>>> blocks(8);
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    for (size_t i = 0; i < kBlockWrites; ++i) {
+      blocks[b].emplace_back(init[rng.NextU64() % init.size()].first,
+                             ToBytes("block-value-" + std::to_string(b)));
+    }
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    tree.PutBatch(blocks[next]);
+    next = (next + 1) % blocks.size();
+  }
+  benchmark::DoNotOptimize(tree.Root());
+  state.SetItemsProcessed(state.iterations() * kBlockWrites);
+  state.counters["leaves"] = static_cast<double>(tree.LeafCount());
+}
+BENCHMARK(BM_SmtPutBatchShard);
+
 void BM_SmtProveVerify(benchmark::State& state) {
   Rng rng(3);
   SparseMerkleTree tree;

@@ -6,6 +6,8 @@
 #
 #   {rounds, tick} x {direct, tree} x {clean, faulty}
 #     x {trace, notrace, tracecap}
+#   plus two served-state cells: real Merkle proofs (faithful) and
+#     doctored state replies (tamper)
 #   at PORYGON_THREADS {0, 1, 4}
 #
 # and cmp's metrics.json, reports.json, trace.json and global_root.hex of
@@ -48,29 +50,37 @@ build_probe "$work/base-src" base
 echo "export_diff: building working tree ..."
 build_probe "$PWD" head
 
+# Probe arguments of each cell: <driver> <mode> <faults> <trace>.
+probe_args=()
+for driver in rounds tick; do
+  for mode in direct tree; do
+    for faults in clean faulty; do
+      for trace in trace notrace tracecap; do
+        probe_args+=("$driver $mode $faults $trace")
+      done
+    done
+  done
+done
+probe_args+=("rounds direct faithful trace" "tick tree tamper trace")
+
 cells=0
 diffs=0
 for threads in 0 1 4; do
-  for driver in rounds tick; do
-    for mode in direct tree; do
-      for faults in clean faulty; do
-        for trace in trace notrace tracecap; do
-          cell="$driver-$mode-$faults-$trace-t$threads"
-          for side in base head; do
-            mkdir -p "$work/out/$side/$cell"
-            PORYGON_THREADS="$threads" "$work/$side-probe" \
-              "$work/out/$side/$cell" "$driver" "$mode" "$faults" "$trace"
-          done
-          for f in metrics.json reports.json trace.json global_root.hex; do
-            if ! cmp -s "$work/out/base/$cell/$f" "$work/out/head/$cell/$f"; then
-              echo "DIFF $cell/$f"
-              diffs=$((diffs + 1))
-            fi
-          done
-          cells=$((cells + 1))
-        done
-      done
+  for args in "${probe_args[@]}"; do
+    cell="${args// /-}-t$threads"
+    for side in base head; do
+      mkdir -p "$work/out/$side/$cell"
+      # $args is unquoted on purpose: it splits into the four arguments.
+      PORYGON_THREADS="$threads" "$work/$side-probe" \
+        "$work/out/$side/$cell" $args
     done
+    for f in metrics.json reports.json trace.json global_root.hex; do
+      if ! cmp -s "$work/out/base/$cell/$f" "$work/out/head/$cell/$f"; then
+        echo "DIFF $cell/$f"
+        diffs=$((diffs + 1))
+      fi
+    done
+    cells=$((cells + 1))
   done
 done
 

@@ -2,13 +2,17 @@
 // sim-derived export to a directory, so two builds of the simulator can be
 // compared byte for byte (scripts/export_diff.sh drives it).
 //
-//   export_probe <out_dir> <rounds|tick> <direct|tree> <clean|faulty>
-//                <trace|notrace|tracecap>
+//   export_probe <out_dir> <rounds|tick> <direct|tree>
+//                <clean|faulty|faithful|tamper> <trace|notrace|tracecap>
 //
 //   rounds   Run(1) per round, submitting a batch before each.
 //   tick     sim-time open loop: every 0.1 s submit the tick's transactions
 //            and Run(1 << 30, tick_end) — calls Run() in the middle of rounds.
 //   faulty   2% message loss, storage node 1 crashed at 8 s, recovered at 16 s.
+//   faithful storage nodes ship real Merkle proofs and every ESC member
+//            verifies them and executes on its own PartialState.
+//   tamper   faithful, plus `storage:tamper-state`: corrupted storage nodes
+//            doctor the account values of their state replies.
 //   tracecap tracing with a 400-span budget, exhausted mid-run.
 //
 // Writes metrics.json, reports.json, trace.json and global_root.hex. Compute
@@ -38,7 +42,7 @@ bool WriteFile(const std::string& path, const std::string& data) {
 int Usage() {
   std::fprintf(stderr,
                "usage: export_probe <out_dir> <rounds|tick> <direct|tree> "
-               "<clean|faulty> <trace|notrace|tracecap>\n");
+               "<clean|faulty|faithful|tamper> <trace|notrace|tracecap>\n");
   return 2;
 }
 
@@ -48,7 +52,8 @@ int main(int argc, char** argv) {
   if (argc != 6) return Usage();
   const std::string out_dir = argv[1];
   const bool tick = std::strcmp(argv[2], "tick") == 0;
-  const bool faulty = std::strcmp(argv[4], "faulty") == 0;
+  const std::string faults = argv[4];
+  const bool faulty = faults == "faulty";
 
   core::SystemOptions opt;
   opt.params.shard_bits = 1;
@@ -68,6 +73,12 @@ int main(int argc, char** argv) {
   auto dissemination = net::DisseminationSpec::Parse(argv[3]);
   if (!dissemination.ok()) return Usage();
   opt.dissemination = *dissemination;
+  if (faults == "faithful" || faults == "tamper") opt.faithful_execution = true;
+  if (faults == "tamper") {
+    auto adversary = core::AdversarySpec::Parse("storage:tamper-state");
+    if (!adversary.ok()) return Usage();
+    opt.adversary = *adversary;
+  }
   if (Status s = opt.Validate(); !s.ok()) {
     std::fprintf(stderr, "export_probe: %s\n", s.ToString().c_str());
     return 1;

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstring>
+#include <unordered_set>
 
 #include "common/erasure.h"
 #include "common/log.h"
@@ -745,27 +746,30 @@ void StatelessNodeActor::OnExecRequest(const net::Message& msg) {
   // Collect every account the batch touches (the pre-recorded access lists)
   // plus the accounts of the OC's update list U. Fresh accounts need
   // absence proofs, so everything is requested.
-  std::set<state::AccountId> accounts;
+  std::vector<state::AccountId> accounts;
   for (const auto& id : exec_task_->request.block_ids) {
     auto held = held_blocks_.find(IdKey(id));
     if (held == held_blocks_.end()) continue;
     for (const auto& t : held->second.txs) {
-      accounts.insert(t.from);
-      accounts.insert(t.to);
+      accounts.push_back(t.from);
+      accounts.push_back(t.to);
     }
   }
   for (const auto& u : exec_task_->request.updates) {
-    accounts.insert(u.account);
+    accounts.push_back(u.account);
   }
   if (accounts.empty()) {
     RunExecution();  // Nothing to download; still report (empty) results.
     return;
   }
+  std::sort(accounts.begin(), accounts.end());
+  accounts.erase(std::unique(accounts.begin(), accounts.end()),
+                 accounts.end());
 
   StateRequest sreq;
   sreq.round = exec_task_->request.round;
   sreq.shard = exec_task_->request.shard;
-  sreq.accounts.assign(accounts.begin(), accounts.end());
+  sreq.accounts = std::move(accounts);
   exec_task_->state_requested = true;
   exec_task_->state_accounts = sreq.accounts;
   SendToPrimary(kMsgStateRequest, sreq.Encode(), 0, msg.trace);
@@ -1452,17 +1456,15 @@ void StatelessNodeActor::MaybePropose() {
       }
     }
   }
-  // Re-send still-pending updates from earlier rounds until success.
+  // Re-send still-pending updates from earlier rounds until success,
+  // skipping accounts the shard's list already carries.
   for (int d = 0; d < p.shard_count(); ++d) {
+    std::vector<tx::StateUpdate>& list = proposal.shard_updates[d];
+    std::unordered_set<state::AccountId> listed;
+    listed.reserve(list.size());
+    for (const auto& u : list) listed.insert(u.account);
     for (const auto& u : coordinator_->PendingUpdatesFor(d, r)) {
-      bool already = false;
-      for (const auto& existing : proposal.shard_updates[d]) {
-        if (existing.account == u.account) {
-          already = true;
-          break;
-        }
-      }
-      if (!already) proposal.shard_updates[d].push_back(u);
+      if (listed.insert(u.account).second) list.push_back(u);
     }
   }
 

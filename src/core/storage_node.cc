@@ -179,7 +179,7 @@ void StorageNodeActor::OnRoleAnnounce(const net::Message& msg,
   // thresholds with no shard bits.
   const bool ordering = static_cast<Role>(a->role) == Role::kOrdering;
   if (!Sortition::Verify(system_->provider(), a->node_key, a->round,
-                         system_->chain().back().Hash(),
+                         system_->tip_hash(),
                          ordering ? 1.0 : 0.0, ordering ? 0.0 : 1.0,
                          ordering ? 0 : system_->params().shard_bits,
                          claimed)) {
@@ -670,39 +670,50 @@ void StorageNodeActor::OnStateRequest(const net::Message& msg) {
     system_->tracer()->Instant(msg.trace, "state_read", TraceName());
   }
 
-  const SystemOptions& opt = system_->options();
-  StateResponse resp;
-  resp.round = req->round;
-  resp.shard = req->shard;
   const state::ShardedState& st = system_->canonical_state();
-  for (state::AccountId id : req->accounts) {
-    StateResponse::Entry e;
-    e.account = id;
-    auto acc = st.GetAccount(id);
-    e.present = acc.ok();
-    if (acc.ok()) e.value = *acc;
-    resp.entries.push_back(e);
-    if (opt.faithful_execution) {
-      state::MerkleProof proof = st.ProveAccount(id);
-      resp.proof_bytes += proof.WireSize();
-      resp.proofs.push_back(proof.Encode());
-    } else {
-      resp.proof_bytes += opt.state_proof_bytes_per_account;
+  std::vector<crypto::Hash256> roots(st.shard_count());
+  for (int d = 0; d < st.shard_count(); ++d) roots[d] = st.ShardRoot(d);
+  ServedState& served = served_state_[req->shard];
+  if (served.payload.empty() || served.round != req->round ||
+      served.accounts != req->accounts || served.roots != roots) {
+    const SystemOptions& opt = system_->options();
+    StateResponse resp;
+    resp.round = req->round;
+    resp.shard = req->shard;
+    for (state::AccountId id : req->accounts) {
+      StateResponse::Entry e;
+      e.account = id;
+      auto acc = st.GetAccount(id);
+      e.present = acc.ok();
+      if (acc.ok()) e.value = *acc;
+      resp.entries.push_back(e);
+      if (opt.faithful_execution) {
+        state::MerkleProof proof = st.ProveAccount(id);
+        resp.proof_bytes += proof.WireSize();
+        resp.proofs.push_back(proof.Encode());
+      } else {
+        resp.proof_bytes += opt.state_proof_bytes_per_account;
+      }
+      if (tampers_state()) {
+        // Doctor the entry *after* proving: the proof commits to the true
+        // value, so the mismatch is exactly what the stateless node's
+        // cross-check (VerifyStateResponse) catches. The perturbation is a
+        // pure hash of (round, account) — deterministic and non-zero.
+        StateResponse::Entry& doctored = resp.entries.back();
+        doctored.value.balance +=
+            1 + crypto::HashPrefixU64(system_->adversary()->ForgedValue(
+                    "state", req->round, id)) %
+                    997;
+        doctored.present = true;
+      }
     }
-    if (tampers_state()) {
-      // Doctor the entry *after* proving: the proof commits to the true
-      // value, so the mismatch is exactly what the stateless node's
-      // cross-check (VerifyStateResponse) catches. The perturbation is a
-      // pure hash of (round, account) — deterministic and non-zero.
-      StateResponse::Entry& doctored = resp.entries.back();
-      doctored.value.balance +=
-          1 + crypto::HashPrefixU64(system_->adversary()->ForgedValue(
-                  "state", req->round, id)) %
-                  997;
-      doctored.present = true;
-    }
+    served.round = req->round;
+    served.accounts = std::move(req->accounts);
+    served.roots = std::move(roots);
+    served.payload = resp.Encode();
+    served.wire_size = resp.WireSize();
   }
-  if (tampers_state() && !req->accounts.empty()) {
+  if (tampers_state() && !served.accounts.empty()) {
     system_->adversary()->NoteAction(strategy_, "tamper_state", TraceName());
   }
 
@@ -710,8 +721,8 @@ void StorageNodeActor::OnStateRequest(const net::Message& msg) {
   m.from = net_id_;
   m.to = msg.from;
   m.kind = kMsgStateResponse;
-  m.payload = resp.Encode();
-  m.wire_size = resp.WireSize();
+  m.payload = served.payload;
+  m.wire_size = served.wire_size;
   system_->network()->Send(std::move(m));
 }
 

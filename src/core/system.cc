@@ -696,14 +696,13 @@ void PorygonSystem::ReconfigureEpoch(uint64_t round) {
   // re-formation. Pure function of (tip hash, node keys, adversary spec):
   // nothing is drawn from rng_, so enabling epochs perturbs no other
   // randomness and exports stay byte-identical across thread counts.
-  const crypto::Hash256 tip = chain_.back().Hash();
   const size_t n = stateless_nodes_.size();
   std::vector<Assignment> draws(n);
   std::vector<int> order(n);
   for (size_t i = 0; i < n; ++i) {
     draws[i] = Sortition::Assign(provider_.get(),
                                  stateless_nodes_[i]->keys_.private_key,
-                                 round, tip, 1.0, 0.0, 0);
+                                 round, tip_hash_, 1.0, 0.0, 0);
     order[i] = static_cast<int>(i);
   }
   std::sort(order.begin(), order.end(), [&](int a, int b) {
@@ -918,6 +917,7 @@ void PorygonSystem::OnBlockCommitted(const tx::ProposalBlock& block,
     return;
   }
   chain_.push_back(block);
+  tip_hash_ = block.Hash();
   ++committed_rounds_;
   obs_.committed_blocks->Increment();
 
@@ -1111,6 +1111,7 @@ void PorygonSystem::Run(int rounds, net::SimTime max_sim_time) {
     genesis_.ordering_threshold = options_.params.ordering_fraction;
     genesis_.execution_threshold = options_.params.execution_fraction;
     chain_.push_back(genesis_);
+    tip_hash_ = genesis_.Hash();
     rounds_[0].commit = events_.now();
     round_scheduled_ = true;
     events_.ScheduleAfter(options_.params.reconfig_interval_us, [this] {

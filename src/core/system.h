@@ -269,6 +269,21 @@ class StorageNodeActor {
   };
   std::vector<RelayAudit> pending_relay_audit_;
   std::map<net::NodeId, int> relay_strikes_;
+
+  // --- Served-state memo -------------------------------------------------
+  // Every ESC member of a shard asks for the same account list in the same
+  // round. The last encoded StateResponse per requested shard is kept with
+  // what fixes its bytes: the round, the account list, and every shard root
+  // (equal roots mean equal state). A request matching all three resends
+  // the stored payload instead of re-reading and re-proving the accounts.
+  struct ServedState {
+    uint64_t round = 0;
+    std::vector<state::AccountId> accounts;
+    std::vector<crypto::Hash256> roots;
+    Bytes payload;
+    size_t wire_size = 0;
+  };
+  std::unordered_map<uint32_t, ServedState> served_state_;
 };
 
 /// A stateless node: ~5 MB footprint, joins committees by VRF, witnesses,
@@ -645,6 +660,8 @@ class PorygonSystem {
     return critical_path_;
   }
   const std::vector<tx::ProposalBlock>& chain() const { return chain_; }
+  /// Hash of chain().back(), computed once where each block is appended.
+  const crypto::Hash256& tip_hash() const { return tip_hash_; }
   const state::ShardedState& canonical_state() const { return *exec_state_; }
   net::SimNetwork* network() { return network_.get(); }
   net::EventQueue* events() { return &events_; }
@@ -905,6 +922,7 @@ class PorygonSystem {
 
   tx::ProposalBlock genesis_;
   std::vector<tx::ProposalBlock> chain_;
+  crypto::Hash256 tip_hash_{};
   std::map<uint64_t, RoundRecord> rounds_;
   // Rounds below this hold no execution interval the analyzer still sees.
   uint64_t exec_floor_ = 0;

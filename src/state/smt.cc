@@ -13,6 +13,8 @@ namespace {
 constexpr uint8_t kLeafTag = 0x00;
 constexpr uint8_t kInnerTag = 0x01;
 constexpr uint8_t kEmptyTag = 0x02;
+// Frontier nodes between a node-table prefetch and its use in PutBatch.
+constexpr size_t kPrefetchAhead = 6;
 
 Hash256 InnerHash(const Hash256& left, const Hash256& right) {
   uint8_t node[1 + 2 * sizeof(Hash256)];
@@ -20,17 +22,6 @@ Hash256 InnerHash(const Hash256& left, const Hash256& right) {
   std::memcpy(node + 1, left.data(), left.size());
   std::memcpy(node + 1 + left.size(), right.data(), right.size());
   return Sha256::Hash(ByteView(node, sizeof(node)));
-}
-
-// Writes `hash` as the node at `prefix` of one level, or erases the entry
-// when it equals the level default (absent nodes read as the default).
-void StoreNode(std::unordered_map<uint64_t, Hash256>* level, uint64_t prefix,
-               const Hash256& hash, const Hash256& level_default) {
-  if (hash == level_default) {
-    level->erase(prefix);
-  } else {
-    (*level)[prefix] = hash;
-  }
 }
 }  // namespace
 
@@ -77,12 +68,97 @@ SparseMerkleTree::Defaults() {
   return *defaults;
 }
 
+size_t SparseMerkleTree::NodeTable::Home(uint64_t prefix) const {
+  // Fibonacci hashing scaled to the table size: the high bits of
+  // prefix * 2^64/phi spread dense and strided prefixes evenly.
+  const uint64_t mixed = prefix * 0x9E3779B97F4A7C15ull;
+  return static_cast<size_t>(
+      (static_cast<__uint128_t>(mixed) * slots_.size()) >> 64);
+}
+
+size_t SparseMerkleTree::NodeTable::Next(size_t i) const {
+  return i + 1 == slots_.size() ? 0 : i + 1;
+}
+
+const Hash256* SparseMerkleTree::NodeTable::Find(uint64_t prefix) const {
+  if (prefix == kFree) return has_max_ ? &max_ : nullptr;
+  if (slots_.empty()) return nullptr;
+  for (size_t i = Home(prefix);; i = Next(i)) {
+    if (slots_[i].prefix == prefix) return &slots_[i].hash;
+    if (slots_[i].prefix == kFree) return nullptr;
+  }
+}
+
+void SparseMerkleTree::NodeTable::Prefetch(uint64_t prefix) const {
+  if (!slots_.empty()) __builtin_prefetch(&slots_[Home(prefix)]);
+}
+
+void SparseMerkleTree::NodeTable::Set(uint64_t prefix, const Hash256& hash) {
+  if (prefix == kFree) {
+    has_max_ = true;
+    max_ = hash;
+    return;
+  }
+  // Keep the load at most 4/5 so a probe always meets a free slot soon.
+  if (5 * (size_ + 1) > 4 * slots_.size()) Grow();
+  size_t i = Home(prefix);
+  while (slots_[i].prefix != kFree && slots_[i].prefix != prefix) i = Next(i);
+  if (slots_[i].prefix == kFree) ++size_;
+  slots_[i] = {prefix, hash};
+}
+
+void SparseMerkleTree::NodeTable::Erase(uint64_t prefix) {
+  if (prefix == kFree) {
+    has_max_ = false;
+    return;
+  }
+  if (slots_.empty()) return;
+  size_t hole = Home(prefix);
+  while (slots_[hole].prefix != prefix) {
+    if (slots_[hole].prefix == kFree) return;
+    hole = Next(hole);
+  }
+  // Backward shift: pull each later entry of the run into the hole unless
+  // its home lies cyclically in (hole, j], where it would become unreachable.
+  const size_t n = slots_.size();
+  for (size_t j = Next(hole); slots_[j].prefix != kFree; j = Next(j)) {
+    const size_t home = Home(slots_[j].prefix);
+    if ((j + n - home) % n >= (j + n - hole) % n) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].prefix = kFree;
+  --size_;
+}
+
+void SparseMerkleTree::NodeTable::Grow() {
+  // 3/2 growth keeps the load in [8/15, 4/5] once the table is large: about
+  // the bytes per node of a node-based map, without its allocations.
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.size() < 4 ? 4 : old.size() + old.size() / 2, Slot{});
+  for (const Slot& s : old) {
+    if (s.prefix == kFree) continue;
+    size_t i = Home(s.prefix);
+    while (slots_[i].prefix != kFree) i = Next(i);
+    slots_[i] = s;
+  }
+}
+
 SparseMerkleTree::SparseMerkleTree() : nodes_(kDepth + 1) {}
 
 Hash256 SparseMerkleTree::NodeAt(int level, uint64_t prefix) const {
-  auto it = nodes_[level].find(prefix);
-  if (it != nodes_[level].end()) return it->second;
-  return Defaults()[level];
+  const Hash256* hash = nodes_[level].Find(prefix);
+  return hash != nullptr ? *hash : Defaults()[level];
+}
+
+void SparseMerkleTree::StoreNode(int level, uint64_t prefix,
+                                 const Hash256& hash) {
+  if (hash == Defaults()[level]) {
+    nodes_[level].Erase(prefix);
+  } else {
+    nodes_[level].Set(prefix, hash);
+  }
 }
 
 void SparseMerkleTree::Put(uint64_t key, ByteView value) {
@@ -95,7 +171,7 @@ void SparseMerkleTree::Put(uint64_t key, ByteView value) {
   Hash256 hash = LeafHash(key, value);
   uint64_t prefix = key;
   for (int level = kDepth; level >= 0; --level) {
-    StoreNode(&nodes_[level], prefix, hash, Defaults()[level]);
+    StoreNode(level, prefix, hash);
     if (level == 0) break;
     uint64_t sibling = prefix ^ 1;
     Hash256 sibling_hash = NodeAt(level, sibling);
@@ -135,15 +211,21 @@ void SparseMerkleTree::PutBatch(
   // prefix|1 is a dirty pair; any other node pulls its sibling from the
   // stored tree, which this level's writes never touch for that sibling.
   for (int level = kDepth; level >= 1; --level) {
-    const Hash256& level_default = Defaults()[level];
     parents.clear();
     for (size_t i = 0; i < frontier.size(); ++i) {
+      // Large levels miss the cache on every probe; start fetching the
+      // slots (own and sibling) of a frontier node a few nodes ahead.
+      if (i + kPrefetchAhead < frontier.size()) {
+        const uint64_t ahead = frontier[i + kPrefetchAhead].first;
+        nodes_[level].Prefetch(ahead);
+        nodes_[level].Prefetch(ahead ^ 1);
+      }
       const auto& [prefix, hash] = frontier[i];
-      StoreNode(&nodes_[level], prefix, hash, level_default);
+      StoreNode(level, prefix, hash);
       if ((prefix & 1) == 0 && i + 1 < frontier.size() &&
           frontier[i + 1].first == (prefix | 1)) {
         const Hash256& right = frontier[++i].second;
-        StoreNode(&nodes_[level], prefix | 1, right, level_default);
+        StoreNode(level, prefix | 1, right);
         parents.emplace_back(prefix >> 1, InnerHash(hash, right));
         continue;
       }
@@ -155,7 +237,7 @@ void SparseMerkleTree::PutBatch(
     frontier.swap(parents);
   }
   // The frontier is now the root alone (level 0, prefix 0).
-  StoreNode(&nodes_[0], 0, frontier.front().second, Defaults()[0]);
+  StoreNode(0, 0, frontier.front().second);
 }
 
 Status SparseMerkleTree::InjectProof(uint64_t key, ByteView value,
@@ -174,13 +256,13 @@ Status SparseMerkleTree::InjectProof(uint64_t key, ByteView value,
   Hash256 hash = LeafHash(key, value);
   uint64_t prefix = key;
   for (int level = kDepth; level >= 1; --level) {
-    if (hash != Defaults()[level]) nodes_[level][prefix] = hash;
+    if (hash != Defaults()[level]) nodes_[level].Set(prefix, hash);
     const Hash256& sibling = proof.siblings[level - 1];
-    if (sibling != Defaults()[level]) nodes_[level][prefix ^ 1] = sibling;
+    if (sibling != Defaults()[level]) nodes_[level].Set(prefix ^ 1, sibling);
     hash = (prefix & 1) ? InnerHash(sibling, hash) : InnerHash(hash, sibling);
     prefix >>= 1;
   }
-  nodes_[0][0] = hash;
+  nodes_[0].Set(0, hash);
   return Status::Ok();
 }
 

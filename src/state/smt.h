@@ -85,12 +85,45 @@ class SparseMerkleTree {
   static crypto::Hash256 LeafHash(uint64_t key, ByteView value);
   static const std::array<crypto::Hash256, kDepth + 1>& Defaults();
 
+  // One level's prefix -> hash map: open addressing with linear probing,
+  // hashes stored inline in the slots, backward-shift erase (no
+  // tombstones). A write on a path touches one entry per level, so a flat
+  // table saves an allocation per node and a pointer chase per sibling read.
+  class NodeTable {
+   public:
+    const crypto::Hash256* Find(uint64_t prefix) const;
+    void Set(uint64_t prefix, const crypto::Hash256& hash);
+    void Erase(uint64_t prefix);
+    // Starts loading the slot where a probe for `prefix` begins.
+    void Prefetch(uint64_t prefix) const;
+
+   private:
+    // Marks a free slot. The one real prefix equal to it (key UINT64_MAX,
+    // leaf level only) lives in `max_` instead.
+    static constexpr uint64_t kFree = ~uint64_t{0};
+    struct Slot {
+      uint64_t prefix = kFree;
+      crypto::Hash256 hash{};
+    };
+    size_t Home(uint64_t prefix) const;
+    size_t Next(size_t i) const;
+    void Grow();
+
+    std::vector<Slot> slots_;
+    size_t size_ = 0;  // Occupied slots.
+    bool has_max_ = false;
+    crypto::Hash256 max_{};
+  };
+
   // Node hash at (level, prefix); falls back to the level default.
   crypto::Hash256 NodeAt(int level, uint64_t prefix) const;
+  // Writes `hash` at (level, prefix), or erases the entry when it equals
+  // the level default (absent nodes read as the default).
+  void StoreNode(int level, uint64_t prefix, const crypto::Hash256& hash);
 
-  // nodes_[level] maps prefix -> hash for non-default nodes. Level 0 is the
+  // nodes_[level] holds the non-default nodes of one level. Level 0 is the
   // root (prefix 0), level kDepth are leaves (prefix == key).
-  std::vector<std::unordered_map<uint64_t, crypto::Hash256>> nodes_;
+  std::vector<NodeTable> nodes_;
   std::unordered_map<uint64_t, Bytes> leaves_;
 };
 

@@ -140,7 +140,7 @@ TEST_F(NetFixture, CrashedReceiverDropsTraffic) {
   EXPECT_EQ(network_.messages_dropped(), 1u);
 
   network_.SetCrashed(b, false);
-  network_.Send(Message{a, b, 0, ToBytes("y"), 0});
+  network_.Send(Message{a, b, 0, ToBytes("y"), 0, {}});
   events_.RunUntilIdle();
   EXPECT_EQ(received, 1);
 }
@@ -152,8 +152,8 @@ TEST_F(NetFixture, DropFilterCensorsSelectedKinds) {
   network_.SetHandler(b, [&](const Message&) { ++received; });
   network_.SetDropFilter([](const Message& m) { return m.kind == 13; });
 
-  network_.Send(Message{a, b, 13, ToBytes("censored"), 0});
-  network_.Send(Message{a, b, 14, ToBytes("allowed"), 0});
+  network_.Send(Message{a, b, 13, ToBytes("censored"), 0, {}});
+  network_.Send(Message{a, b, 14, ToBytes("allowed"), 0, {}});
   events_.RunUntilIdle();
   EXPECT_EQ(received, 1);
 }
@@ -163,9 +163,9 @@ TEST_F(NetFixture, TrafficAccountingByKind) {
   NodeId b = network_.AddNode({1e6, 1e6});
   network_.SetHandler(b, [](const Message&) {});
 
-  network_.Send(Message{a, b, 1, {}, 500});
-  network_.Send(Message{a, b, 2, {}, 300});
-  network_.Send(Message{a, b, 1, {}, 200});
+  network_.Send(Message{a, b, 1, {}, 500, {}});
+  network_.Send(Message{a, b, 2, {}, 300, {}});
+  network_.Send(Message{a, b, 1, {}, 200, {}});
   events_.RunUntilIdle();
 
   EXPECT_EQ(network_.StatsFor(a).bytes_sent, 1000u);

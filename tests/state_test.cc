@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <set>
 
 #include "common/rng.h"
 #include "state/account.h"
@@ -202,6 +204,101 @@ TEST_P(SmtBatchTest, PutBatchMatchesSequentialPuts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SmtBatchTest, ::testing::Values(41, 42, 43));
+
+// The tree is history-independent: whatever sequence of writes produced a
+// live set, every stored node must equal the one a fresh tree builds from
+// that set alone. A stale or lost node-table entry (say, a botched
+// backward-shift erase) shows up in Root() or in some proof.
+class SmtReferenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SmtReferenceTest, RandomOpMixMatchesFreshTree) {
+  Rng rng(GetParam());
+  SparseMerkleTree tree;
+  std::map<uint64_t, Bytes> live;
+  std::set<uint64_t> touched;
+  // Dense keys 4*i+s (one residue per shard, as ShardedState lays them out,
+  // with all four residues mixed so sibling leaves both get written), plus
+  // the two extreme keys.
+  auto pick_key = [&]() -> uint64_t {
+    uint64_t key;
+    switch (rng.NextU64() % 64) {
+      case 0:
+        key = 0;
+        break;
+      case 1:
+        key = UINT64_MAX;
+        break;
+      default:
+        key = 4 * (rng.NextU64() % 4096) + rng.NextU64() % 4;
+    }
+    touched.insert(key);
+    return key;
+  };
+  auto apply = [&](uint64_t key, const Bytes& value) {
+    if (value.empty()) {
+      live.erase(key);
+    } else {
+      live[key] = value;
+    }
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    const uint64_t key = pick_key();
+    const Bytes value = ToBytes(std::to_string(step));
+    switch (rng.NextU64() % 8) {
+      case 0:
+      case 1:
+      case 2:
+        tree.Put(key, value);
+        apply(key, value);
+        break;
+      case 3:
+      case 4:
+        tree.Delete(key);
+        apply(key, Bytes());
+        break;
+      case 5:
+      case 6: {
+        std::vector<std::pair<uint64_t, Bytes>> writes;
+        writes.emplace_back(key, value);
+        const int extra = static_cast<int>(rng.NextU64() % 32);
+        for (int i = 0; i < extra; ++i) {
+          writes.emplace_back(
+              pick_key(), rng.NextBernoulli(0.4)
+                              ? Bytes()
+                              : ToBytes(std::to_string(step) + "." +
+                                        std::to_string(i)));
+        }
+        tree.PutBatch(writes);
+        for (const auto& [k, v] : writes) apply(k, v);
+        break;
+      }
+      default: {
+        // Re-inject the key's own proof, membership or absence: it must
+        // rewrite the stored path with the very same nodes.
+        auto it = live.find(key);
+        const Bytes current = it == live.end() ? Bytes() : it->second;
+        ASSERT_TRUE(
+            tree.InjectProof(key, current, tree.Prove(key), tree.Root()).ok());
+      }
+    }
+  }
+
+  SparseMerkleTree fresh;
+  for (const auto& [k, v] : live) fresh.Put(k, v);
+  EXPECT_EQ(tree.Root(), fresh.Root());
+  EXPECT_EQ(tree.LeafCount(), fresh.LeafCount());
+  for (uint64_t key : touched) {
+    for (uint64_t k : {key, key ^ 1}) {
+      EXPECT_TRUE(tree.Prove(k).siblings == fresh.Prove(k).siblings)
+          << "proofs differ for key " << k;
+      EXPECT_EQ(tree.Get(k).ok(), live.count(k) > 0) << "key " << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SmtReferenceTest,
+                         ::testing::Values(71, 72, 73));
 
 TEST(ShardedStateTest, AccountsRouteToTheirShard) {
   ShardedState st(2);  // 4 shards.
